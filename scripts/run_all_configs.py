@@ -1,10 +1,16 @@
 """Run every example config under configs/ and print a verdict summary.
 
 Usage: python scripts/run_all_configs.py [--out DIR] [--threads N]
-Run from the repository root so relative basis-file paths resolve.
+
+configs/ is found next to this script, so it runs from any directory.
+After each config's summary line the script prints one
+``<sha256>  <config>/<file>.csv`` line per CSV written, in sha256sum
+format relative to DIR: diff these lines between two commits (or check them
+with ``cd DIR && sha256sum -c``) to confirm byte-identical results.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -12,10 +18,12 @@ from pathlib import Path
 
 from voltlift.cli import main as cli_main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def run_all(out_root, threads):
     # *_basis.json files are data referenced by configs, not configs
-    configs = [c for c in sorted(Path("configs").glob("*.json"))
+    configs = [c for c in sorted(CONFIGS.glob("*.json"))
                if not c.stem.endswith("_basis")]
     failures = 0
     for cfg in configs:
@@ -33,6 +41,9 @@ def run_all(out_root, threads):
                  if k in ("passed", "max_rel_err", "r_hat", "w1",
                           "spearman", "margin", "kl_budget")}
         print(f"{cfg.stem:<20} {status:<8} {dt:6.1f}s  {brief}")
+        for csv in sorted(out.glob("*.csv")):
+            digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+            print(f"{digest}  {cfg.stem}/{csv.name}")
         failures += rc != 0
     return failures
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -18,7 +19,8 @@ import numpy as np
 from . import coupling as cpl
 from . import ergodics as erg
 from .discretize import build_component, epsilon_k, reconstructed_kernel
-from .dynamics import NoisePlan, make_preset, simulate_lifted
+from .dynamics import (NoisePlan, make_plans, make_preset, simulate_lifted,
+                       truncate_coefficients)
 from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
                           inf_support, make_expsum_basis,
                           make_tempered_fractional_basis)
@@ -59,10 +61,7 @@ class ConfigError(Exception):
 def _check_keys(section, obj):
     if not isinstance(obj, dict):
         raise ConfigError(f"section {section or '<root>'} must be an object")
-    allowed = ALLOWED_KEYS.get(section, None)
-    if allowed is None:
-        return
-    unknown = set(obj) - allowed
+    unknown = set(obj) - ALLOWED_KEYS[section]
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {section or '<root>'}: {sorted(unknown)}")
@@ -107,22 +106,29 @@ def resolve_config(raw):
     cfg["burn_in"] = raw.get("burn_in", 5.0)
     cfg["ladder"] = raw.get("ladder", [8, 16, 32, 64])
 
-    if cfg["scheme"]["h"] <= 0:
-        raise ConfigError("scheme.h must be positive")
-    if cfg["scheme"]["T"] <= 0:
-        raise ConfigError("scheme.T must be positive")
-    if cfg["rng"]["seed"] < 0:
-        raise ConfigError("rng.seed must be nonnegative")
-    if cfg["rng"]["trajectories"] < 1:
-        raise ConfigError("rng.trajectories must be at least 1")
-    if cfg["discretization"]["k"] != "auto" and cfg["discretization"]["k"] < 1:
-        raise ConfigError("discretization.k must be at least 1")
+    for sec, key in (("scheme", "h"), ("scheme", "T")):
+        v = cfg[sec][key]
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
+            raise ConfigError(f"{sec}.{key} must be a finite positive number,"
+                              f" got {v!r}")
+    for sec, key, least in (("rng", "seed", 0), ("rng", "trajectories", 1),
+                            ("discretization", "k", 1)):
+        v = cfg[sec][key]
+        if not (isinstance(v, int) and not isinstance(v, bool)
+                and v >= least):
+            raise ConfigError(f"{sec}.{key} must be an integer of at least "
+                              f"{least}, got {v!r}")
     return cfg
 
 
-def build_basis(spec, base_dir=Path(".")):
+def build_basis(spec):
     if "file" in spec:
-        return basis_from_json((base_dir / spec["file"]).read_text())
+        try:
+            text = Path(spec["file"]).read_text()
+        except OSError as exc:
+            raise ConfigError(f"basis.file: {exc}") from exc
+        return basis_from_json(text)
     kind = spec.get("kind")
     if kind == "expsum":
         terms = [(t["rate"], np.asarray(t["Mb"], float),
@@ -140,7 +146,6 @@ def build_coefficients(spec):
     kwargs = {k: v for k, v in spec.items() if k not in ("preset", "truncate")}
     coeffs = make_preset(spec.get("preset", "linear"), **kwargs)
     if "truncate" in spec:
-        from .dynamics import truncate_coefficients
         coeffs = truncate_coefficients(coeffs, spec["truncate"])
     return coeffs
 
@@ -234,7 +239,6 @@ def run_experiment(cfg, out_dir, threads=1):
                                    consts.L, min(consts.R, 1e300))
         y1 = _fill(component, cfg["initial"]["y1"])
         y2 = _fill(component, cfg["initial"]["y2"])
-        from .dynamics import make_plans
         plans = make_plans(seed, n_traj, h, T, d=coeffs.d)
         run = cpl.simulate_coupled_pair(component, coeffs, table, lam, y1,
                                         y2, plans)
@@ -282,7 +286,7 @@ def run_experiment(cfg, out_dir, threads=1):
             raise ConfigError("lift_independence requires basis_b")
         basis_b = build_basis(cfg["basis_b"])
         res = erg.lift_independence_test(basis, basis_b, coeffs, T, n_traj,
-                                         k=k if k != "auto" else 64,
+                                         k=k,
                                          seed=seed, h=h, threads=threads)
         rows.append((exp, k, T, res.w1, 0.0, res.floor))
         verdict.update(w1=res.w1, floor=res.floor, eps_bias=res.eps_bias,
@@ -324,6 +328,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    for spec in (cfg["basis"], cfg.get("basis_b", {})):
+        if "file" in spec:  # named relative to the config that references it
+            spec["file"] = str(Path(args.config).parent / spec["file"])
 
     if args.command == "validate":
         print("config ok")

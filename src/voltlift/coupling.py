@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _stacked_increments, _step_factors
+from .dynamics import (_check_finite, _initial_states, _stacked_increments,
+                       _step_factors, lifted_step)
 from .weights import mu_sigma_phi, weighted_norms
 
 
@@ -23,24 +24,15 @@ class CoupledRun:
     control: np.ndarray      # (M+1, ..., d) control vector per time
 
 
-def _coupled_step(component, coeffs, table, lam, y, yh, x, xh, dw, decay,
+def _coupled_step(component, coeffs, table, lam, y, yh, x, xh, v, dw, decay,
                   phi):
-    v = mu_sigma_phi(component, table, y - yh)
-    bx, bxh = coeffs.b(x), coeffs.b(xh)
-    sx, sxh = coeffs.sigma(x), coeffs.sigma(xh)
-    kick = np.einsum("...pd,...d->...p", sx, dw)
-    kick_h = np.einsum("...pd,...d->...p", sxh, dw)
-    drift = np.einsum("ipq,...q->...ip", component.Mb, bx)
-    drift_h = (np.einsum("ipq,...q->...ip", component.Mb, bxh)
-               + lam * np.einsum("ipq,...q->...ip", component.Ms, v))
-    y = (decay[:, None] * y + phi[:, None] * drift
-         + decay[:, None] * np.einsum("ipq,...q->...ip", component.Ms, kick))
-    yh = (decay[:, None] * yh + phi[:, None] * drift_h
-          + decay[:, None] * np.einsum("ipq,...q->...ip", component.Ms,
-                                       kick_h))
-    x = np.einsum("i,...ip->...p", component.w, y)
-    xh = np.einsum("i,...ip->...p", component.w, yh)
-    return y, yh, x, xh, v
+    """Advance both copies on the shared dw (the second with the control
+    drift lam * M_s v); return them and the new mu_{sigma,Phi}[y - yh]."""
+    y, x = lifted_step(component, coeffs, y, x, dw, decay, phi)
+    yh, xh = lifted_step(component, coeffs, yh, xh, dw, decay, phi,
+                         extra=lam * np.einsum("ipq,...q->...ip",
+                                               component.Ms, v))
+    return y, yh, x, xh, mu_sigma_phi(component, table, y - yh)
 
 
 def _control(coeffs, xh, v, lam):
@@ -60,18 +52,10 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     trajectories); plans is a list of NoisePlan with common (h, T)."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
-    h = plans[0].h
-    m = plans[0].n_steps
-    n_traj = len(plans)
-    shape = (n_traj, component.size, component.n)
-    y = np.broadcast_to(np.asarray(y1, float).reshape(
-        component.size, component.n), shape).copy()
-    yh = np.broadcast_to(np.asarray(y2, float).reshape(
-        component.size, component.n), shape).copy()
-    x = np.einsum("i,tip->tp", component.w, y)
-    xh = np.einsum("i,tip->tp", component.w, yh)
+    h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
+    y, x = _initial_states(component, y1, n_traj)
+    yh, xh = _initial_states(component, y2, n_traj)
     decay, phi = _step_factors(component, h)
-    incs = _stacked_increments(plans)
 
     times = np.arange(m + 1) * h
     dist = np.empty((m + 1, n_traj))
@@ -81,19 +65,15 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     v = mu_sigma_phi(component, table, y - yh)
     control[0] = _control(coeffs, xh, v, lam)
     energy[0] = 0.0
-    for step in range(m):
+    for step, dw in enumerate(_stacked_increments(plans), start=1):
         # left-point quadrature of the control energy
-        energy[step + 1] = energy[step] + 0.5 * h * np.sum(
-            control[step] ** 2, axis=-1)
+        energy[step] = energy[step - 1] + 0.5 * h * np.sum(
+            control[step - 1] ** 2, axis=-1)
         y, yh, x, xh, v = _coupled_step(component, coeffs, table, lam, y, yh,
-                                        x, xh, incs[step], decay, phi)
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yh))):
-            raise FloatingPointError(
-                f"non-finite coupled state at step {step + 1}")
-        dist[step + 1], _ = weighted_norms(component, table, y - yh)
-        control[step + 1] = _control(coeffs, xh,
-                                     mu_sigma_phi(component, table, y - yh),
-                                     lam)
+                                        x, xh, v, dw, decay, phi)
+        _check_finite("coupled", step, plans, y, yh)
+        dist[step], _ = weighted_norms(component, table, y - yh)
+        control[step] = _control(coeffs, xh, v, lam)
     return CoupledRun(times=times, dist_phi=dist, energy=energy,
                       control=control)
 

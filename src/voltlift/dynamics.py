@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 DRIFT_FACTOR_CUTOFF = 1e-8
+NOISE_BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,17 @@ class NoisePlan:
 
 
 def _stacked_increments(plans):
-    """(n_steps, n_traj, d) increments for a list of equal-shape plans."""
-    return np.stack([p.increments() for p in plans], axis=1)
+    """Yield each step's (n_traj, d) increments for equal-shape plans, drawing
+    every trajectory's Philox stream in blocks of NOISE_BLOCK_STEPS steps:
+    the values of one NoisePlan.increments draw; memory is flat in T."""
+    m, d, scale = plans[0].n_steps, plans[0].d, math.sqrt(plans[0].h)
+    gens = [p.generator() for p in plans]
+    for start in range(0, m, NOISE_BLOCK_STEPS):
+        block = np.empty((len(plans), min(NOISE_BLOCK_STEPS, m - start), d))
+        for gen, rows in zip(gens, block):
+            gen.standard_normal(out=rows)
+        # step-major and C-ordered, so each step's rows are contiguous
+        yield from np.multiply(block.transpose(1, 0, 2), scale, order="C")
 
 
 def make_plans(seed, n_traj, h, T, d=1, first_index=0):
@@ -132,77 +142,81 @@ def _step_factors(component, h):
     return decay, phi
 
 
-def lifted_step(component, coeffs, z, x, dw, decay, phi):
+def lifted_step(component, coeffs, z, x, dw, decay, phi, extra=None):
     """One exponential-Euler step, batched over leading axes of z.
 
-    z: (..., I, n); x: (..., n); dw: (..., d).
+    z: (..., I, n); x: (..., n); dw: (..., d).  extra, shaped like z, is a
+    factor-space drift added to M_b b(x) (the coupling control).
     """
     bx = coeffs.b(x)
     sx = coeffs.sigma(x)
     noise_vec = np.einsum("...pd,...d->...p", sx, dw)
     drift = np.einsum("ipq,...q->...ip", component.Mb, bx)
+    if extra is not None:
+        drift = drift + extra
     kick = np.einsum("ipq,...q->...ip", component.Ms, noise_vec)
     z = (decay[:, None] * z + phi[:, None] * drift + decay[:, None] * kick)
     x = np.einsum("i,...ip->...p", component.w, z)
     return z, x
 
 
-def simulate_lifted(component, coeffs, z0, plan, extra_drift=None):
-    """Integrate one trajectory; abort on non-finite states.
+def _initial_states(component, z0, n_traj):
+    """(n_traj, I, n) copies of z0 (shared or per trajectory) and their x."""
+    shape = (n_traj, component.size, component.n)
+    z = np.broadcast_to(np.asarray(z0, dtype=float).reshape(
+        (-1,) + shape[1:]), shape).copy()
+    return z, np.einsum("i,tip->tp", component.w, z)
 
-    extra_drift(x_pair_state) hooks are not supported here; see coupling.
-    """
-    z = np.asarray(z0, dtype=float).reshape(component.size, component.n)
-    x = np.einsum("i,ip->p", component.w, z)
-    decay, phi = _step_factors(component, plan.h)
-    incs = plan.increments()
+
+def _check_finite(kind, step, plans, *states):
+    """Abort naming the step and first trajectory with a non-finite state."""
+    if all(np.isfinite(z).all() for z in states):
+        return
+    bad = np.any([~np.isfinite(z.reshape(len(plans), -1)).all(axis=1)
+                  for z in states], axis=0)
+    j = plans[np.argmax(bad)].trajectory_index
+    raise FloatingPointError(
+        f"non-finite {kind} state at step {step}, trajectory {j}")
+
+
+def _lifted_steps(component, coeffs, z0, plans):
+    """Integrate the ensemble of plans; yield (step, z, x) for step 0 and
+    after every step.  Each yielded array is new, never updated in place."""
+    z, x = _initial_states(component, z0, len(plans))
+    decay, phi = _step_factors(component, plans[0].h)
+    yield 0, z, x
+    for step, dw in enumerate(_stacked_increments(plans), start=1):
+        z, x = lifted_step(component, coeffs, z, x, dw, decay, phi)
+        _check_finite("lifted", step, plans, z)
+        yield step, z, x
+
+
+def simulate_lifted(component, coeffs, z0, plan):
+    """Integrate one trajectory, recording every state."""
     m = plan.n_steps
-    times = np.arange(m + 1) * plan.h
     states = np.empty((m + 1, component.size, component.n))
     obs = np.empty((m + 1, component.n))
-    states[0], obs[0] = z, x
-    for step in range(m):
-        z, x = lifted_step(component, coeffs, z, x, incs[step], decay, phi)
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(
-                f"non-finite lifted state at step {step + 1}")
-        states[step + 1], obs[step + 1] = z, x
-    return LiftedPath(times=times, states=states, observables=obs)
+    for step, z, x in _lifted_steps(component, coeffs, z0, [plan]):
+        states[step], obs[step] = z[0], x[0]
+    return LiftedPath(times=np.arange(m + 1) * plan.h, states=states,
+                      observables=obs)
 
 
 def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
-    """Vectorized ensemble integration sharing the single-trajectory
-    arithmetic. Returns (times, X, z_final) with X of shape
-    (n_rec, n_traj, n); record_times=None records the final time only.
-    """
-    h, T = plans[0].h, plans[0].T
-    m = plans[0].n_steps
-    n_traj = len(plans)
-    z = np.broadcast_to(
-        np.asarray(z0, dtype=float).reshape((-1, component.size, component.n)),
-        (n_traj, component.size, component.n)).copy()
-    x = np.einsum("i,tip->tp", component.w, z)
-    decay, phi = _step_factors(component, h)
-    incs = _stacked_increments(plans)
-    if record_times is None:
-        rec_steps = [m]
-    else:
-        rec_steps = [int(round(t / h)) for t in record_times]
-        if any(s < 0 or s > m for s in rec_steps):
-            raise ValueError("record time outside the simulated horizon")
-    rec = {s: None for s in rec_steps}
-    if 0 in rec:
-        rec[0] = x.copy()
-    for step in range(m):
-        z, x = lifted_step(component, coeffs, z, x, incs[step], decay, phi)
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(
-                f"non-finite lifted state at step {step + 1}")
-        if (step + 1) in rec:
-            rec[step + 1] = x.copy()
-    times = np.array([s * h for s in rec_steps])
-    xs = np.stack([rec[s] for s in rec_steps])
-    return times, xs, z
+    """Integrate one trajectory per plan from z0 (one state, or one per
+    trajectory).  Returns (times, X, z_final) with X of shape
+    (n_rec, n_traj, n); record_times=None records the final time only."""
+    h, m = plans[0].h, plans[0].n_steps
+    rec_steps = ([m] if record_times is None
+                 else [int(round(t / h)) for t in record_times])
+    if any(s < 0 or s > m for s in rec_steps):
+        raise ValueError("record time outside the simulated horizon")
+    rec = dict.fromkeys(rec_steps)
+    for step, z, x in _lifted_steps(component, coeffs, z0, plans):
+        if step in rec:
+            rec[step] = x
+    return (np.array([s * h for s in rec_steps]),
+            np.stack([rec[s] for s in rec_steps]), z)
 
 
 def forcing_term(component, z0, t):
@@ -275,9 +289,7 @@ def simulate_volterra_direct(kernels, coeffs, forcing, plan):
         drift = np.einsum("lpq,lq->p", kb[:step][::-1], bvals[:step])
         noise = np.einsum("lpq,lq->p", ks[:step][::-1], svals[:step])
         x[step] = np.atleast_1d(forcing(step * h)) + drift + noise
-        if not np.all(np.isfinite(x[step])):
-            raise FloatingPointError(
-                f"non-finite Volterra state at step {step}")
+        _check_finite("Volterra", step, [plan], x[step])
     return np.arange(m + 1) * h, x
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from voltlift.cli import main
+from voltlift.kernelbasis import basis_to_json, make_expsum_basis
 
 ATOM_BASIS = {"kind": "expsum",
               "terms": [{"rate": 1.0, "Mb": [[1.0]], "Ms": [[1.0]]}]}
@@ -44,6 +45,48 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main(["validate", "--config", cfg]) == 2
     assert "scheme.h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("scheme", "h", "0.01"),
+    ("scheme", "h", float("nan")),
+    ("scheme", "T", 0),
+    ("rng", "seed", -1),
+    ("rng", "seed", 2.5),
+    ("rng", "trajectories", 0),
+    ("discretization", "k", "auto"),
+])
+def test_run_rejects_bad_numbers_by_key(tmp_path, capsys, section, key,
+                                        value):
+    doc = simulate_config(tmp_path / "o")
+    doc[section][key] = value
+    cfg = write_config(tmp_path, "bad.json", doc)
+    # an exception escaping main, a traceback on the command line, fails here
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_basis_file_resolves_against_config_dir(tmp_path, monkeypatch,
+                                                capsys):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    basis = make_expsum_basis([(1.0, [[1.0]], [[1.0]])])
+    (cfg_dir / "atom_basis.json").write_text(basis_to_json(basis))
+    doc = simulate_config(tmp_path / "o")
+    doc["basis"] = {"file": "atom_basis.json"}
+    cfg = write_config(cfg_dir, "sim.json", doc)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", cfg]) == 0
+    assert (tmp_path / "o" / "path.csv").exists()
+
+    doc["basis"] = {"file": "missing_basis.json"}
+    cfg = write_config(cfg_dir, "sim.json", doc)
+    assert main(["run", "--config", cfg]) == 2
+    assert "basis.file" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

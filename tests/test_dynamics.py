@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voltlift.discretize import build_component
-from voltlift.dynamics import (CoefficientModel, NoisePlan, forcing_term,
+from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
+                               _stacked_increments, forcing_term,
                                make_plans, make_preset, preset_linear,
                                simulate_lifted, simulate_lifted_ensemble,
                                simulate_volterra_direct,
@@ -83,8 +85,37 @@ def test_ensemble_matches_single_trajectory():
         comp, coeffs, np.zeros((1, 1)), plans, record_times=[0.5, 1.0])
     assert xs.shape == (2, 4, 1)
     solo = simulate_lifted(comp, coeffs, np.zeros((1, 1)), plans[2])
-    assert xs[-1, 2, 0] == pytest.approx(solo.observables[-1, 0], rel=1e-12)
-    np.testing.assert_allclose(z_final[2], solo.states[-1], rtol=1e-12)
+    np.testing.assert_array_equal(xs[-1, 2], solo.observables[-1])
+    np.testing.assert_array_equal(z_final[2], solo.states[-1])
+
+
+def test_block_noise_matches_full_draw():
+    # a horizon of 2.5 blocks: streams drawn block by block give the same
+    # values as one full-horizon draw per trajectory
+    h = 0.1
+    plans = make_plans(4, 3, h, 2.5 * NOISE_BLOCK_STEPS * h, d=2,
+                       first_index=5)
+    blocks = np.stack(list(_stacked_increments(plans)))
+    full = np.stack([p.increments() for p in plans], axis=1)
+    assert blocks.shape == (plans[0].n_steps, 3, 2)
+    np.testing.assert_array_equal(blocks, full)
+
+
+def test_ensemble_memory_bounded_in_horizon():
+    basis = make_expsum_basis([(1.0, EYE, EYE)])
+    comp = build_component(basis, 1, theta_max=2.0)
+    coeffs = make_preset("tanh", scale=0.5, sigma0=1.0)
+
+    def peak(T):
+        plans = make_plans(0, 64, 0.05, T, d=1)
+        tracemalloc.start()
+        try:
+            simulate_lifted_ensemble(comp, coeffs, np.zeros((1, 1)), plans)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200.0) <= 1.5 * peak(20.0)
 
 
 def test_nan_abort_reports_step():
@@ -96,6 +127,20 @@ def test_nan_abort_reports_step():
     plan = NoisePlan(seed=0, trajectory_index=0, h=0.1, T=1.0, d=1)
     with pytest.raises(FloatingPointError, match="step 1"):
         simulate_lifted(comp, bad, np.zeros((1, 1)), plan)
+
+
+def test_nan_abort_names_trajectory():
+    basis = make_expsum_basis([(1.0, EYE, EYE)])
+    comp = build_component(basis, 1, theta_max=2.0)
+    coeffs = make_preset("double_well")
+    plans = make_plans(0, 4, 0.1, 1.0, d=1, first_index=10)
+    z0 = np.zeros((4, 1, 1))
+    z0[2] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError) as err:
+        simulate_lifted_ensemble(comp, coeffs, z0, plans)
+    assert "step 1" in str(err.value)
+    assert "trajectory 12" in str(err.value)
 
 
 def test_forcing_term():
