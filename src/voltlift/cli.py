@@ -8,6 +8,8 @@ metadata lives in a separate file so the CSV body stays deterministic.
 from __future__ import annotations
 
 import argparse
+import copy
+import inspect
 import json
 import math
 import sys
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import coupling as cpl
 from . import ergodics as erg
-from .discretize import build_component, epsilon_k, reconstructed_kernel
-from .dynamics import (NoisePlan, make_plans, make_preset, simulate_lifted,
+from .discretize import build_component, reconstructed_kernel
+from .dynamics import (PRESETS, NoisePlan, make_plans, simulate_lifted,
                        truncate_coefficients)
 from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
                           inf_support, make_expsum_basis,
@@ -27,127 +29,168 @@ from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
 from .weights import (build_phi_coupling, check_lyapunov_sufficient,
                       compute_coupling_constants, find_certified_constants)
 
-EXPERIMENTS = ("kernel_error", "simulate", "coupling", "ergodic",
-               "stationarity", "lift_independence", "ipm_convergence",
-               "lyapunov_check")
-
-DEFAULTS = {
-    "discretization": {"k": 64, "theta_max": "auto"},
-    "scheme": {"h": 1e-2, "T": 10.0},
-    "rng": {"seed": 0, "trajectories": 1024},
-    "output_dir": "out",
-}
-
-ALLOWED_KEYS = {
-    "": {"experiment", "basis", "basis_b", "discretization", "coefficients",
-         "scheme", "rng", "output_dir", "t_grid", "lags", "burn_in",
-         "ladder", "initial", "coupling"},
-    "basis": {"kind", "file", "terms", "alpha_b", "alpha_s", "kappa_b",
-              "kappa_s", "gamma_b", "gamma_s", "n"},
-    "discretization": {"k", "theta_max"},
-    "coefficients": {"preset", "beta", "c", "scale", "sigma0", "n", "gamma",
-                     "truncate"},
-    "scheme": {"h", "T"},
-    "rng": {"seed", "trajectories"},
-    "initial": {"y1", "y2"},
-    "coupling": {"m", "delta", "L", "R", "lam"},
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(section, obj):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"section {section or '<root>'} must be an object")
-    unknown = set(obj) - ALLOWED_KEYS[section]
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {section or '<root>'}: {sorted(unknown)}")
+COMMON = ("basis", "coefficients", "rng", "output_dir")  # read by every run
+SPECS = ("basis", "basis_b", "coefficients")  # checked by their builders
+# The default of every top-level key that has one.  Other than a spec, a
+# value must have its default's type and a section its default's keys (see
+# _resolve).  A null coupling constant is derived by certification.
+SCHEMA = {
+    "coefficients": {"preset": "linear"},
+    "discretization": {"k": 64, "theta_max": "auto"},
+    "scheme": {"h": 1e-2, "T": 10.0},
+    "rng": {"seed": 0, "trajectories": 1024},
+    "initial": {"y1": 1.0, "y2": 0.0},
+    "coupling": dict.fromkeys(("m", "delta", "L", "R", "lam")),
+    "output_dir": "out",
+    "t_grid": list(np.geomspace(1e-2, 10.0, 25)),
+    "lags": [1.0, 2.0, 5.0],
+    "burn_in": 5.0,
+    "ladder": [8, 16, 32, 64],
+}
+
+
+def _is_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_leaves(key, value):
+    """Every leaf of a spec is a finite number, except the names."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if k not in ("kind", "file", "preset"):
+                _check_leaves(f"{key}.{k}", v)
+            elif not isinstance(v, str):
+                raise ConfigError(f"{key}.{k} must be a string, got {v!r}")
+    elif isinstance(value, list):
+        for v in value:
+            _check_leaves(key, v)
+    elif not _is_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _resolve(key, value, default):
+    """value checked against the type of its default; a section gets the
+    default of every key it leaves out."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {key} must be an object")
+        unknown = set(value) - set(default)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {key}: {sorted(unknown)}")
+        return {k: _resolve(f"{key}.{k}", value[k], d) if k in value else d
+                for k, d in default.items()}
+    if isinstance(default, list):  # each entry checked like the default's
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_resolve(f"{key} entry", v, default[0]) for v in value]
+    if key == "output_dir":
+        expected, ok = "a string", isinstance(value, str)
+    elif key in ("scheme.h", "scheme.T", "t_grid entry"):
+        expected = "a finite positive number"
+        ok = _is_number(value) and value > 0
+    elif isinstance(default, int):  # k, seed, trajectories, ladder rungs
+        least = 0 if key == "rng.seed" else 1
+        expected = f"an integer of at least {least}"
+        ok = _is_number(value) and isinstance(value, int) and value >= least
+    else:
+        auto = default == "auto"  # theta_max
+        expected = 'a finite number or "auto"' if auto else "a finite number"
+        ok = _is_number(value) or auto and value == "auto"
+    if ok:
+        return value
+    raise ConfigError(f"{key} must be {expected}, got {value!r}")
 
 
 def resolve_config(raw):
-    _check_keys("", raw)
-    cfg = {}
+    """The keys the experiment reads, checked, with their defaults filled.
+    A key that only another experiment reads is accepted and left out."""
+    if not isinstance(raw, dict):
+        raise ConfigError("the config must be a JSON object")
     exp = raw.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    cfg["experiment"] = exp
-    if "basis" not in raw:
-        raise ConfigError("basis section is required")
-    for sec in ("basis", "basis_b"):
-        if sec in raw:
-            _check_keys("basis", raw[sec])
-            cfg[sec] = dict(raw[sec])
-    for sec in ("discretization", "scheme", "rng"):
-        merged = dict(DEFAULTS[sec])
-        if sec in raw:
-            _check_keys(sec, raw[sec])
-            merged.update(raw[sec])
-        cfg[sec] = merged
-    if "coefficients" in raw:
-        _check_keys("coefficients", raw["coefficients"])
-        cfg["coefficients"] = dict(raw["coefficients"])
-    else:
-        cfg["coefficients"] = {"preset": "linear"}
-    if "initial" in raw:
-        _check_keys("initial", raw["initial"])
-        cfg["initial"] = dict(raw["initial"])
-    else:
-        cfg["initial"] = {"y1": 1.0, "y2": 0.0}
-    if "coupling" in raw:
-        _check_keys("coupling", raw["coupling"])
-        cfg["coupling"] = dict(raw["coupling"])
-    cfg["output_dir"] = raw.get("output_dir", DEFAULTS["output_dir"])
-    cfg["t_grid"] = raw.get("t_grid",
-                            list(np.geomspace(1e-2, 10.0, 25)))
-    cfg["lags"] = raw.get("lags", [1.0, 2.0, 5.0])
-    cfg["burn_in"] = raw.get("burn_in", 5.0)
-    cfg["ladder"] = raw.get("ladder", [8, 16, 32, 64])
-
-    for sec, key in (("scheme", "h"), ("scheme", "T")):
-        v = cfg[sec][key]
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) and v > 0):
-            raise ConfigError(f"{sec}.{key} must be a finite positive number,"
-                              f" got {v!r}")
-    for sec, key, least in (("rng", "seed", 0), ("rng", "trajectories", 1),
-                            ("discretization", "k", 1)):
-        v = cfg[sec][key]
-        if not (isinstance(v, int) and not isinstance(v, bool)
-                and v >= least):
-            raise ConfigError(f"{sec}.{key} must be an integer of at least "
-                              f"{least}, got {v!r}")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}")
+    unknown = set(raw) - {"experiment", *COMMON}.union(
+        *(keys for keys, _ in EXPERIMENTS.values()))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in <root>: {sorted(unknown)}")
+    cfg = {"experiment": exp}
+    for key in COMMON + EXPERIMENTS[exp][0]:
+        if key not in raw:
+            if key not in SCHEMA:
+                raise ConfigError(f"{exp} requires {key}")
+            cfg[key] = copy.deepcopy(SCHEMA[key])
+        elif key in SPECS:
+            if not isinstance(raw[key], dict):
+                raise ConfigError(f"section {key} must be an object")
+            _check_leaves(key, raw[key])
+            cfg[key] = dict(raw[key])
+        else:
+            cfg[key] = _resolve(key, raw[key], SCHEMA[key])
     return cfg
 
 
-def build_basis(spec):
+def _call_checked(key, fn, spec):
+    """fn(**spec) once spec binds to fn's signature; an unknown or missing
+    key, or a value fn rejects, is a config error naming key."""
+    try:
+        inspect.signature(fn).bind(**spec)
+        return fn(**spec)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _expsum_basis(terms):
+    if not all(isinstance(t, dict) and set(t) == {"rate", "Mb", "Ms"}
+               for t in terms):
+        raise ValueError(f"terms must be {{rate, Mb, Ms}} objects: {terms!r}")
+    return make_expsum_basis([(t["rate"], t["Mb"], t["Ms"]) for t in terms])
+
+
+def _build_basis(key, spec):
+    spec = dict(spec)
     if "file" in spec:
+        path = spec.pop("file")
+        if spec:
+            raise ConfigError(f"unknown key(s) in {key}: {sorted(spec)}")
         try:
-            text = Path(spec["file"]).read_text()
-        except OSError as exc:
-            raise ConfigError(f"basis.file: {exc}") from exc
-        return basis_from_json(text)
-    kind = spec.get("kind")
-    if kind == "expsum":
-        terms = [(t["rate"], np.asarray(t["Mb"], float),
-                  np.asarray(t["Ms"], float)) for t in spec["terms"]]
-        return make_expsum_basis(terms)
-    if kind == "tempered_fractional":
-        return make_tempered_fractional_basis(
-            spec["alpha_b"], spec["alpha_s"], spec["kappa_b"],
-            spec["kappa_s"], spec.get("gamma_b"), spec.get("gamma_s"),
-            spec.get("n", 1))
-    raise ConfigError(f"unknown basis kind {kind!r}")
+            return basis_from_json(Path(path).read_text())
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}.file: {exc}") from exc
+    # looked up per call, so a rebinding of these module names takes effect
+    kinds = {"expsum": _expsum_basis,
+             "tempered_fractional": make_tempered_fractional_basis}
+    kind = spec.pop("kind", None)
+    if kind not in kinds:
+        raise ConfigError(f"{key}.kind must be one of {sorted(kinds)}, "
+                          f"got {kind!r}")
+    return _call_checked(key, kinds[kind], spec)
 
 
 def build_coefficients(spec):
-    kwargs = {k: v for k, v in spec.items() if k not in ("preset", "truncate")}
-    coeffs = make_preset(spec.get("preset", "linear"), **kwargs)
-    if "truncate" in spec:
-        coeffs = truncate_coefficients(coeffs, spec["truncate"])
+    kwargs = dict(spec)
+    preset = kwargs.pop("preset", "linear")
+    truncate = kwargs.pop("truncate", None)
+    if preset not in PRESETS:
+        raise ConfigError(f"coefficients.preset must be one of "
+                          f"{sorted(PRESETS)}, got {preset!r}")
+    coeffs = _call_checked("coefficients", PRESETS[preset], kwargs)
+    if truncate is not None:
+        coeffs = _call_checked("coefficients", truncate_coefficients,
+                               {"coeffs": coeffs, "radius": truncate})
     return coeffs
+
+
+def _build_inputs(cfg):
+    """The bases, by config key, and the coefficient model."""
+    bases = {key: _build_basis(key, cfg[key])
+             for key in ("basis", "basis_b") if key in cfg}
+    return bases, build_coefficients(cfg["coefficients"])
 
 
 def _fmt(x):
@@ -155,154 +198,176 @@ def _fmt(x):
 
 
 def _write_rows(path, header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines = [header] + [",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fill(component, value):
-    return np.full((component.size, component.n), float(value))
+def _initial(cfg, component):  # every factor at initial.y1, and at .y2
+    return [np.full((component.size, component.n), float(cfg["initial"][y]))
+            for y in ("y1", "y2")]
+
+
+def _component(cfg, basis):
+    d = cfg["discretization"]
+    return build_component(basis, d["k"], d["theta_max"])
+
+
+def _mc(cfg, threads):  # keywords shared by the Monte Carlo diagnostics
+    return dict(seed=cfg["rng"]["seed"], h=cfg["scheme"]["h"],
+                threads=threads)
+
+
+# Runners: (cfg, basis, coeffs, out_dir, threads[, basis_b]) ->
+# (results.csv rows after the experiment column, verdict fields).
+def _lyapunov_check(cfg, basis, coeffs, out_dir, threads):
+    rep = check_lyapunov_sufficient(basis, coeffs)
+    return [(0, 0.0, rep.I, 0.0, 0.0)], dict(
+        passed=rep.passed, margin=rep.margin, I=rep.I, kappa=rep.kappa,
+        details=rep.details)
+
+
+def _kernel_error(cfg, basis, coeffs, out_dir, threads):
+    component = _component(cfg, basis)
+    rows, kcsv, max_rel = [], [], 0.0
+    for which in (DRIFT, DIFFUSION):
+        for t in map(float, cfg["t_grid"]):
+            closed = basis.closed_forms.get(which)
+            exact = closed(t) if closed else eval_kernel(basis, which, t)
+            rec = reconstructed_kernel(component, which, t)
+            rel = (np.linalg.norm(rec - exact)
+                   / max(np.linalg.norm(exact), 1e-300))
+            max_rel = max(max_rel, rel)
+            kcsv.append((which, t, float(exact.ravel()[0]),
+                         float(rec.ravel()[0]), float(rel)))
+            rows.append((component.size, t, float(rel), 0.0, 0.0))
+    _write_rows(out_dir / "kernel_error.csv",
+                "which,t,exact,reconstructed,rel_err", kcsv)
+    print(f"kernel_error: max relative error {max_rel:.3e}")
+    return rows, dict(max_rel_err=max_rel, k=component.size,
+                      theta_max=component.theta_max)
+
+
+def _simulate(cfg, basis, coeffs, out_dir, threads):
+    component = _component(cfg, basis)
+    T = cfg["scheme"]["T"]
+    plan = NoisePlan(cfg["rng"]["seed"], 0, cfg["scheme"]["h"], T,
+                     d=coeffs.d)
+    path = simulate_lifted(component, coeffs, _initial(cfg, component)[0],
+                           plan)
+    _write_rows(out_dir / "path.csv",
+                "t," + ",".join(f"X_{i+1}" for i in range(component.n)),
+                [(float(t),) + tuple(map(float, x))
+                 for t, x in zip(path.times, path.observables)])
+    final = path.observables[-1]
+    return [(component.size, T, float(final[0]), 0.0, 0.0)], dict(
+        final_X=[float(v) for v in final])
+
+
+def _coupling(cfg, basis, coeffs, out_dir, threads):
+    component = _component(cfg, basis)
+    given = {k: v for k, v in cfg["coupling"].items() if v is not None}
+    lam = given.pop("lam", None)
+    if "m" in given:
+        consts = compute_coupling_constants(component, coeffs, **given)
+    else:
+        consts = find_certified_constants(component, coeffs)
+        if consts is None:
+            raise ConfigError("no certified coupling constants found")
+    lam = consts.lam if lam is None else lam
+    table = build_phi_coupling(component, consts.m, consts.delta,
+                               consts.L, min(consts.R, 1e300))
+    plans = make_plans(cfg["rng"]["seed"], cfg["rng"]["trajectories"],
+                       cfg["scheme"]["h"], cfg["scheme"]["T"], d=coeffs.d)
+    run = cpl.simulate_coupled_pair(component, coeffs, table, lam,
+                                    *_initial(cfg, component), plans)
+    rep = cpl.contraction_report(run, inf_support(basis), lam=lam,
+                                 c_ue=coeffs.C_UE or 1.0)
+    rows = [(component.size, float(t), float(rep.mean_dist[i]),
+             float(rep.stderr_dist[i]), float(rep.envelope[i]))
+            for i, t in enumerate(run.times)]
+    return rows, dict(epsilon=consts.epsilon, certified=consts.certified,
+                      lam=lam, r_hat=rep.r_hat,
+                      bounds={"contraction": rep.contraction_ok,
+                              "kl": rep.kl_ok},
+                      kl_energy=rep.mean_energy_final,
+                      kl_budget=rep.kl_budget)
+
+
+def _ergodic(cfg, basis, coeffs, out_dir, threads):
+    component = _component(cfg, basis)
+    times = [t for t in cfg["t_grid"] if 0 < t <= cfg["scheme"]["T"]]
+    fit = erg.ergodic_decay(component, coeffs, *_initial(cfg, component),
+                            cfg["rng"]["trajectories"], times,
+                            **_mc(cfg, threads))
+    rows = [(component.size, float(t), float(v), 0.0, 0.0)
+            for t, v in zip(fit.times, fit.w1)]
+    return rows, dict(r_hat=fit.r_hat, intercept=fit.intercept,
+                      r_stderr=fit.r_stderr)
+
+
+def _stationarity(cfg, basis, coeffs, out_dir, threads):
+    component = _component(cfg, basis)
+    res = erg.stationarity_test(component, coeffs, cfg["burn_in"],
+                                cfg["lags"], cfg["rng"]["trajectories"],
+                                _initial(cfg, component)[0],
+                                **_mc(cfg, threads))
+    rows = [(component.size, float(lag), float(v), 0.0, float(fl))
+            for lag, v, fl in zip(res.lags, res.w1, res.floors)]
+    return rows, dict(passed=res.all_pass,
+                      per_lag=[bool(p) for p in res.passed])
+
+
+def _lift_independence(cfg, basis, coeffs, out_dir, threads, basis_b):
+    d, T = cfg["discretization"], cfg["scheme"]["T"]
+    res = erg.lift_independence_test(basis, basis_b, coeffs, T,
+                                     cfg["rng"]["trajectories"], k=d["k"],
+                                     theta_max=d["theta_max"],
+                                     **_mc(cfg, threads))
+    return [(d["k"], T, res.w1, 0.0, res.floor)], dict(
+        w1=res.w1, floor=res.floor, eps_bias=res.eps_bias,
+        passed=res.passed)
+
+
+def _ipm_convergence(cfg, basis, coeffs, out_dir, threads):
+    trend = erg.ipm_convergence(basis, coeffs, cfg["ladder"],
+                                cfg["scheme"]["T"], cfg["rng"]["trajectories"],
+                                **_mc(cfg, threads))
+    rows = [(int(kk), float(ee), float(vv), 0.0, trend.finest_floor)
+            for kk, ee, vv in zip(trend.ks, trend.eps, trend.w1)]
+    return rows, dict(spearman=trend.spearman,
+                      trend_positive=trend.trend_positive,
+                      finest_floor=trend.finest_floor)
+
+
+# experiment -> (top-level keys it reads besides COMMON, runner)
+EXPERIMENTS = {
+    "kernel_error": (("discretization", "t_grid"), _kernel_error),
+    "simulate": (("discretization", "scheme", "initial"), _simulate),
+    "coupling": (("discretization", "scheme", "initial", "coupling"),
+                 _coupling),
+    "ergodic": (("discretization", "scheme", "initial", "t_grid"), _ergodic),
+    "stationarity": (("discretization", "scheme", "initial", "burn_in",
+                      "lags"), _stationarity),
+    "lift_independence": (("basis_b", "discretization", "scheme"),
+                          _lift_independence),
+    "ipm_convergence": (("scheme", "ladder"), _ipm_convergence),
+    "lyapunov_check": ((), _lyapunov_check),
+}
 
 
 def run_experiment(cfg, out_dir, threads=1):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True, default=float) + "\n")
-    basis = build_basis(cfg["basis"])
-    coeffs = build_coefficients(cfg["coefficients"])
-    k = cfg["discretization"]["k"]
-    theta_max = cfg["discretization"]["theta_max"]
-    h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
-    seed, n_traj = cfg["rng"]["seed"], cfg["rng"]["trajectories"]
+    bases, coeffs = _build_inputs(cfg)
     exp = cfg["experiment"]
-    verdict = {"experiment": exp, "seed": seed}
-    rows = []
-    header = "experiment,k,t_or_lag,estimate,stderr,floor"
-
-    if exp == "lyapunov_check":
-        rep = check_lyapunov_sufficient(basis, coeffs)
-        verdict.update(passed=rep.passed, margin=rep.margin, I=rep.I,
-                       kappa=rep.kappa, details=rep.details)
-        rows.append((exp, 0, 0.0, rep.I, 0.0, 0.0))
-
-    elif exp == "kernel_error":
-        component = build_component(basis, k, theta_max)
-        max_rel = 0.0
-        kcsv = [("which", "t", "exact", "reconstructed", "rel_err")]
-        for which in (DRIFT, DIFFUSION):
-            for t in cfg["t_grid"]:
-                t = float(t)
-                exact = basis.closed_forms[which](t) \
-                    if which in basis.closed_forms \
-                    else eval_kernel(basis, which, t)
-                rec = reconstructed_kernel(component, which, t)
-                rel = (np.linalg.norm(rec - exact)
-                       / max(np.linalg.norm(exact), 1e-300))
-                max_rel = max(max_rel, rel)
-                kcsv.append((which, _fmt(t), _fmt(float(exact.ravel()[0])),
-                             _fmt(float(rec.ravel()[0])), _fmt(float(rel))))
-                rows.append((exp, component.size, t, float(rel), 0.0, 0.0))
-        (out_dir / "kernel_error.csv").write_text(
-            "\n".join(",".join(map(str, r)) for r in kcsv) + "\n")
-        verdict.update(max_rel_err=max_rel, k=component.size,
-                       theta_max=component.theta_max)
-        print(f"kernel_error: max relative error {max_rel:.3e}")
-
-    elif exp == "simulate":
-        component = build_component(basis, k, theta_max)
-        z0 = _fill(component, cfg["initial"]["y1"])
-        plan = NoisePlan(seed, 0, h, T, d=coeffs.d)
-        path = simulate_lifted(component, coeffs, z0, plan)
-        _write_rows(out_dir / "path.csv",
-                    "t," + ",".join(f"X_{i+1}" for i in range(component.n)),
-                    [(float(t),) + tuple(map(float, x))
-                     for t, x in zip(path.times, path.observables)])
-        verdict.update(final_X=[float(v) for v in path.observables[-1]])
-        rows.append((exp, component.size, T,
-                     float(path.observables[-1][0]), 0.0, 0.0))
-
-    elif exp == "coupling":
-        component = build_component(basis, k, theta_max)
-        ccfg = cfg.get("coupling", {})
-        if "m" in ccfg:
-            consts = compute_coupling_constants(
-                component, coeffs, ccfg["m"], ccfg.get("delta"),
-                ccfg.get("L"), ccfg.get("R", np.inf))
-        else:
-            consts = find_certified_constants(component, coeffs)
-            if consts is None:
-                raise ConfigError("no certified coupling constants found")
-        lam = ccfg.get("lam", consts.lam)
-        table = build_phi_coupling(component, consts.m, consts.delta,
-                                   consts.L, min(consts.R, 1e300))
-        y1 = _fill(component, cfg["initial"]["y1"])
-        y2 = _fill(component, cfg["initial"]["y2"])
-        plans = make_plans(seed, n_traj, h, T, d=coeffs.d)
-        run = cpl.simulate_coupled_pair(component, coeffs, table, lam, y1,
-                                        y2, plans)
-        kappa = inf_support(basis)
-        rep = cpl.contraction_report(run, kappa, lam=lam,
-                                     c_ue=coeffs.C_UE or 1.0)
-        for i, t in enumerate(run.times):
-            rows.append((exp, component.size, float(t),
-                         float(rep.mean_dist[i]), float(rep.stderr_dist[i]),
-                         float(rep.envelope[i])))
-        verdict.update(epsilon=consts.epsilon, certified=consts.certified,
-                       lam=lam, r_hat=rep.r_hat,
-                       bounds={"contraction": rep.contraction_ok,
-                               "kl": rep.kl_ok},
-                       kl_energy=rep.mean_energy_final,
-                       kl_budget=rep.kl_budget)
-
-    elif exp == "ergodic":
-        component = build_component(basis, k, theta_max)
-        times = [t for t in cfg["t_grid"] if 0 < t <= T]
-        fit = erg.ergodic_decay(component, coeffs,
-                                _fill(component, cfg["initial"]["y1"]),
-                                _fill(component, cfg["initial"]["y2"]),
-                                n_traj, times, seed=seed, h=h,
-                                threads=threads)
-        for t, v in zip(fit.times, fit.w1):
-            rows.append((exp, component.size, float(t), float(v), 0.0, 0.0))
-        verdict.update(r_hat=fit.r_hat, intercept=fit.intercept,
-                       r_stderr=fit.r_stderr)
-
-    elif exp == "stationarity":
-        component = build_component(basis, k, theta_max)
-        res = erg.stationarity_test(component, coeffs, cfg["burn_in"],
-                                    cfg["lags"], n_traj,
-                                    _fill(component, cfg["initial"]["y1"]),
-                                    seed=seed, h=h, threads=threads)
-        for lag, v, fl in zip(res.lags, res.w1, res.floors):
-            rows.append((exp, component.size, float(lag), float(v), 0.0,
-                         float(fl)))
-        verdict.update(passed=res.all_pass,
-                       per_lag=[bool(p) for p in res.passed])
-
-    elif exp == "lift_independence":
-        if "basis_b" not in cfg:
-            raise ConfigError("lift_independence requires basis_b")
-        basis_b = build_basis(cfg["basis_b"])
-        res = erg.lift_independence_test(basis, basis_b, coeffs, T, n_traj,
-                                         k=k,
-                                         seed=seed, h=h, threads=threads)
-        rows.append((exp, k, T, res.w1, 0.0, res.floor))
-        verdict.update(w1=res.w1, floor=res.floor, eps_bias=res.eps_bias,
-                       passed=res.passed)
-
-    elif exp == "ipm_convergence":
-        trend = erg.ipm_convergence(basis, coeffs, cfg["ladder"], T, n_traj,
-                                    seed=seed, h=h, threads=threads)
-        for kk, ee, vv in zip(trend.ks, trend.eps, trend.w1):
-            rows.append((exp, int(kk), float(ee), float(vv), 0.0,
-                         trend.finest_floor))
-        verdict.update(spearman=trend.spearman,
-                       trend_positive=trend.trend_positive,
-                       finest_floor=trend.finest_floor)
-
-    _write_rows(out_dir / "results.csv", header, rows)
+    rows, fields = EXPERIMENTS[exp][1](cfg, coeffs=coeffs, out_dir=out_dir,
+                                       threads=threads, **bases)
+    _write_rows(out_dir / "results.csv",
+                "experiment,k,t_or_lag,estimate,stderr,floor",
+                [(exp,) + row for row in rows])
+    verdict = {"experiment": exp, "seed": cfg["rng"]["seed"], **fields}
     (out_dir / "verdict.json").write_text(
         json.dumps(verdict, indent=2, sort_keys=True, default=float) + "\n")
     (out_dir / "run_meta.json").write_text(
@@ -323,18 +388,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        raw = json.loads(Path(args.config).read_text())
-        cfg = resolve_config(raw)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = resolve_config(json.loads(Path(args.config).read_text()))
+        for spec in (cfg["basis"], cfg.get("basis_b", {})):
+            if "file" in spec:  # relative to the config that names it
+                spec["file"] = str(Path(args.config).parent / spec["file"])
+        if args.command == "validate":
+            _build_inputs(cfg)  # all of run but discretizing and simulating
+            print("config ok")
+            return 0
+    except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for spec in (cfg["basis"], cfg.get("basis_b", {})):
-        if "file" in spec:  # named relative to the config that references it
-            spec["file"] = str(Path(args.config).parent / spec["file"])
-
-    if args.command == "validate":
-        print("config ok")
-        return 0
 
     if args.seed_override is not None:
         cfg["rng"]["seed"] = args.seed_override

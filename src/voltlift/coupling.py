@@ -131,11 +131,3 @@ def contraction_report(run, kappa, lam=None, c_ue=1.0, fit_start=0.0,
                              mean_energy_final=float(energy_final),
                              kl_budget=float(budget))
 
-
-def run_to_csv(run, trajectory=0):
-    lines = ["t,dist_phi,energy,control_norm"]
-    u_norm = np.linalg.norm(run.control[:, trajectory], axis=-1)
-    for i, t in enumerate(run.times):
-        lines.append(f"{t:.17g},{run.dist_phi[i, trajectory]:.17g},"
-                     f"{run.energy[i, trajectory]:.17g},{u_norm[i]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -8,8 +8,6 @@ space.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,23 +255,3 @@ def observe(component, z):
     nv = np.sqrt(np.einsum("i,...i->...", component.hV, sq))
     return x, nh, nv
 
-
-def component_to_json(component):
-    doc = {"n": component.n, "theta_max": component.theta_max, "cells": []}
-    for i in range(component.size):
-        doc["cells"].append({
-            "lower": float(component.lo[i]), "upper": float(component.hi[i]),
-            "node": float(component.a[i]), "mass": float(component.w[i]),
-            "hH": float(component.hH[i]), "hV": float(component.hV[i]),
-            "is_atom": bool(component.is_atom[i]),
-            "Mb": component.Mb[i].tolist(), "Ms": component.Ms[i].tolist()})
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def component_to_csv(component):
-    buf = io.StringIO()
-    buf.write("i,a,w,hH,hV\n")
-    for i in range(component.size):
-        buf.write(f"{i},{component.a[i]:.17g},{component.w[i]:.17g},"
-                  f"{component.hH[i]:.17g},{component.hV[i]:.17g}\n")
-    return buf.getvalue()

@@ -65,19 +65,19 @@ def sliced_w1(samples_a, samples_b, n_directions=32, seed=0):
 
 
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0, mult=3.0):
-    """Same-distribution bootstrap floor: resample two sets from the pooled
-    samples and take mean + mult * std of their W1."""
-    pool = np.concatenate([np.asarray(samples_a, float).ravel(),
-                           np.asarray(samples_b, float).ravel()])
-    na = np.asarray(samples_a).size
-    nb = np.asarray(samples_b).size
+    """Same-distribution bootstrap floor: resample two sets of rows from the
+    pooled rows and take mean + mult * std of their marginal W1, the
+    statistic the floor gates."""
+    a, b = (np.asarray(s, float).reshape(len(s), -1)
+            for s in (samples_a, samples_b))
+    pool = np.concatenate([a, b])
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 1],
                                                             dtype=np.uint64)))
     vals = np.empty(n_boot)
     for i in range(n_boot):
-        xa = gen.choice(pool, size=na, replace=True)
-        xb = gen.choice(pool, size=nb, replace=True)
-        vals[i] = wasserstein1_1d(xa, xb)
+        xa = pool[gen.choice(len(pool), size=len(a))]
+        xb = pool[gen.choice(len(pool), size=len(b))]
+        vals[i] = _marginal_w1(xa, xb, seed=seed)
     return float(vals.mean() + mult * vals.std(ddof=1))
 
 

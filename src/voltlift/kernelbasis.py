@@ -47,13 +47,6 @@ class LiftingBasis:
     # optional exact kernels for built-ins: {"drift": t -> (n, n), ...}
     closed_forms: dict = field(default_factory=dict)
 
-    def matrices(self, which):
-        if which == DRIFT:
-            return [a.Mb for a in self.atoms], [s.Mb for s in self.segments]
-        if which == DIFFUSION:
-            return [a.Ms for a in self.atoms], [s.Ms for s in self.segments]
-        raise ValueError(f"unknown kernel tag {which!r}")
-
 
 def _as_matrix(m, n):
     a = np.atleast_2d(np.asarray(m, dtype=float))
@@ -342,32 +335,15 @@ def make_table_segment(lower, upper, thetas, rhos, Mbs, Mss, n):
                     Mbs=mb.tolist(), Mss=ms.tolist(), n=n))
 
 
-def _sample_segment_to_table(seg, n, rows=64):
-    lo = seg.lower
-    hi = seg.upper if seg.upper is not None else lo + 1e4 * (1.0 + lo)
-    # avoid the singular endpoint itself
-    th = lo + np.geomspace(1e-8 * (hi - lo), hi - lo, rows)
-    rhos = [seg.rho(float(t)) for t in th]
-    mbs = [seg.Mb(float(t)) for t in th]
-    mss = [seg.Ms(float(t)) for t in th]
-    return make_table_segment(lo, seg.upper, th, rhos, mbs, mss, n)
-
-
 def basis_to_json(basis):
     doc = {"n": basis.n, "atoms": [], "segments": []}
     for a in basis.atoms:
         doc["atoms"].append({"theta": a.theta, "mass": a.mass,
                              "Mb": a.Mb.tolist(), "Ms": a.Ms.tolist()})
     for seg in basis.segments:
-        entry = {"lower": seg.lower, "upper": seg.upper, "family": seg.family}
-        if seg.family == "tempered_fractional":
-            entry.update(seg.params)
-        else:
-            tab = seg if seg.family == "table" else \
-                _sample_segment_to_table(seg, basis.n)
-            entry["family"] = "table"
-            entry.update(tab.params)
-        doc["segments"].append(entry)
+        # segments are "table" or "tempered_fractional"; params rebuild both
+        doc["segments"].append({"lower": seg.lower, "upper": seg.upper,
+                                "family": seg.family, **seg.params})
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -379,7 +355,6 @@ def basis_from_json(text):
              Mb=_as_matrix(a["Mb"], n), Ms=_as_matrix(a["Ms"], n))
         for a in doc.get("atoms", ()))
     segs = []
-    closed = {}
     for s in doc.get("segments", ()):
         if s["family"] == "tempered_fractional":
             params = {k: s[k] for k in ("alpha_b", "alpha_s", "kappa_b",
@@ -398,13 +373,11 @@ def basis_from_json(text):
                                            s["Mbs"], s["Mss"], n))
         else:
             raise ValueError(f"unknown segment family {s['family']!r}")
-    basis = LiftingBasis(n=n, atoms=atoms, segments=tuple(segs),
-                         closed_forms=closed)
-    if segs and all(s.family == "tempered_fractional" for s in segs):
+    if segs and not atoms and all(s.family == "tempered_fractional"
+                                  for s in segs):
+        # rebuilt by the family's constructor, which adds the closed forms
         p = segs[0].params
-        rebuilt = make_tempered_fractional_basis(
+        return make_tempered_fractional_basis(
             p["alpha_b"], p["alpha_s"], p["kappa_b"], p["kappa_s"],
             p["gamma_b"], p["gamma_s"], n)
-        if not atoms:
-            return rebuilt
-    return basis
+    return LiftingBasis(n=n, atoms=atoms, segments=tuple(segs))

@@ -307,11 +307,3 @@ def check_lyapunov_sufficient(basis, coeffs, quad_tol=1e-10):
     return LyapunovReport(passed=passed, margin=margin, I=i_val, kappa=kappa,
                           details=details)
 
-
-def table_to_csv(component, table):
-    lines = ["i,a,tag," + ",".join(
-        f"phi_{p}{q}" for p in range(component.n) for q in range(component.n))]
-    for i in range(table.size):
-        entries = ",".join(f"{v:.17g}" for v in table.Phi[i].ravel())
-        lines.append(f"{i},{component.a[i]:.17g},{table.tag},{entries}")
-    return "\n".join(lines) + "\n"

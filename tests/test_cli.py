@@ -1,6 +1,10 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from voltlift.cli import main
 from voltlift.kernelbasis import basis_to_json, make_expsum_basis
@@ -179,3 +183,122 @@ def test_run_meta_is_the_only_timestamped_file(tmp_path):
     # everything except run_meta.json is reproducible byte for byte
     for name in ("results.csv", "verdict.json", "resolved_config.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+TF_BASIS = {"kind": "tempered_fractional", "alpha_b": 0.5, "alpha_s": 0.75,
+            "kappa_b": 1.0, "kappa_s": 1.0}
+TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
+
+
+# (experiment, top-level keys replaced in the simulate config, text the
+# messages must name, exit code of validate, exit code of run)
+@pytest.mark.parametrize("experiment,patch,key,validate_rc,run_rc", [
+    ("simulate", {"coefficients": {"preset": "tanh", "beta": 1.0}}, "beta",
+     2, 2),
+    ("simulate", {"basis": {k: v for k, v in TF_BASIS.items()
+                            if k != "alpha_s"}}, "alpha_s", 2, 2),
+    ("simulate", {"basis": {"kind": "expsum"}}, "terms", 2, 2),
+    ("simulate", {"basis": {"kind": "expsum",
+                            "terms": [{"rate": 1.0, "Mb": [[1.0]]}]}},
+     "Ms", 2, 2),
+    ("simulate", {"basis": {"kind": "foo"}}, "basis.kind", 2, 2),
+    ("simulate", {"coefficients": {"preset": "foo"}}, "coefficients.preset",
+     2, 2),
+    ("simulate", {"initial": {"y1": "a"}}, "initial.y1", 2, 2),
+    ("simulate", {"discretization": {"k": 1, "theta_max": "big"}},
+     "discretization.theta_max", 2, 2),
+    ("simulate", {"coefficients": {"preset": "linear", "truncate": "x"}},
+     "coefficients.truncate", 2, 2),
+    ("ergodic", {"t_grid": 5}, "t_grid", 2, 2),
+    ("coupling", {"coupling": {"m": "x"}}, "coupling.m", 2, 2),
+    ("lift_independence", {}, "basis_b", 2, 2),
+    # checked by the diagnostic itself, which validate does not run
+    ("stationarity", {"lags": []}, "lags", 0, 2),
+    ("ipm_convergence", {"ladder": [8]}, "ladder", 0, 2),
+    # a partial section takes the rest from its default (initial.y2)
+    ("coupling", {"initial": {"y1": 2.0}, "coefficients": TANH}, None, 0, 0),
+])
+def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
+                                             patch, key, validate_rc, run_rc):
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment=experiment, **patch)
+    doc["rng"]["trajectories"] = 4
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    for command, rc in (("validate", validate_rc), ("run", run_rc)):
+        # an exception escaping main, a traceback on the command line, fails
+        assert main([command, "--config", cfg]) == rc, command
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc == 2:
+            assert key in err, (command, err)
+
+
+def test_resolved_config_holds_only_the_keys_read(tmp_path):
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="lyapunov_check", t_grid=[0.5, 1.0])
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    resolved = json.loads((tmp_path / "o" / "resolved_config.json")
+                          .read_text())
+    assert sorted(resolved) == ["basis", "coefficients", "experiment",
+                                "output_dir", "rng"]
+    doc.update(experiment="coupling", coefficients=TANH, initial={"y2": -1.0})
+    doc["rng"]["trajectories"] = 4
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    resolved = json.loads((tmp_path / "o" / "resolved_config.json")
+                          .read_text())
+    assert resolved["initial"] == {"y1": 1.0, "y2": -1.0}
+    assert resolved["coupling"] == dict.fromkeys(("L", "R", "delta", "lam",
+                                                  "m"))
+    assert "t_grid" not in resolved
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# *_basis.json files are data that configs name, not configs
+SHIPPED = sorted(p.name for p in CONFIGS.glob("*.json")
+                 if not p.stem.endswith("_basis"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_configs_validate(name, capsys):
+    assert main(["validate", "--config", str(CONFIGS / name)]) == 0, \
+        capsys.readouterr().err
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, v in items:
+            yield from _leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_survives_one_mutated_leaf(tmp_path, capsys, data):
+    doc = json.loads((CONFIGS / data.draw(st.sampled_from(SHIPPED)))
+                     .read_text())
+    if "basis_b" in doc:  # the mutated config is written elsewhere
+        doc["basis_b"]["file"] = str(CONFIGS / doc["basis_b"]["file"])
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    leaf = path[-1]
+    mutation = data.draw(st.sampled_from(
+        ["drop", "string", "null", "list"]
+        + (["sibling"] if isinstance(parent, dict) else [])))
+    if mutation == "drop":
+        del parent[leaf]
+    elif mutation == "sibling":
+        parent["unknown_key"] = copy.deepcopy(parent[leaf])
+    else:
+        parent[leaf] = {"string": "x", "null": None,
+                        "list": [parent[leaf]]}[mutation]
+    cfg = write_config(tmp_path, "mutated.json", doc)
+    # an exception escaping main, a traceback on the command line, fails
+    assert main(["validate", "--config", cfg]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err

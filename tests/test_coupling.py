@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from voltlift.coupling import (contraction_report, run_to_csv,
-                               simulate_coupled_pair)
+from voltlift.coupling import contraction_report, simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift.dynamics import CoefficientModel, make_plans, make_preset
 from voltlift.kernelbasis import make_expsum_basis
@@ -109,16 +108,3 @@ def test_kl_budget_arithmetic():
     assert rep.kl_budget == pytest.approx(0.5 * lam * d0 ** 2, rel=1e-12)
     assert isinstance(rep.kl_ok, bool)
     assert rep.mean_energy_final >= 0.0
-
-
-def test_run_to_csv_header():
-    comp = atom_setup()
-    coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
-    table = build_custom(comp, [EYE])
-    plans = make_plans(0, 2, 0.1, 0.3, d=1)
-    run = simulate_coupled_pair(comp, coeffs, table, 1.0,
-                                np.full((1, 1), 1.0), np.zeros((1, 1)),
-                                plans)
-    lines = run_to_csv(run, trajectory=1).splitlines()
-    assert lines[0] == "t,dist_phi,energy,control_norm"
-    assert len(lines) == len(run.times) + 1

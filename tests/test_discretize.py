@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltlift.discretize import (build_component, component_to_csv,
-                                 component_to_json, epsilon_k, observe,
+from voltlift.discretize import (build_component, epsilon_k, observe,
                                  reconstructed_kernel)
 from voltlift.kernelbasis import (DIFFUSION, DRIFT, DensitySegment,
                                   LiftingBasis, make_expsum_basis,
@@ -106,16 +103,6 @@ def test_observe_shapes_and_values():
     assert nhb[1] == pytest.approx(2.0 * nh)
     with pytest.raises(ValueError):
         observe(comp, np.zeros((3, 1)))
-
-
-def test_serialization_round_trips():
-    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0)
-    comp = build_component(basis, 8, theta_max=50.0)
-    doc = json.loads(component_to_json(comp))
-    assert len(doc["cells"]) == comp.size
-    csv_text = component_to_csv(comp)
-    assert csv_text.splitlines()[0] == "i,a,w,hH,hV"
-    assert len(csv_text.splitlines()) == comp.size + 1
 
 
 # Cauchy-Schwarz ties the norm weights to the cell mass:

@@ -72,6 +72,22 @@ def test_noise_floor_deterministic_and_positive():
     assert wasserstein1_1d(a, b) <= f1
 
 
+def test_noise_floor_bootstraps_the_sliced_statistic():
+    # a zero column scales every projection by |u_1|, so the floor of the
+    # padded rows is c times the 1-d floor, c = mean |u_1| over the
+    # directions sliced_w1 draws for the seed
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((500, 1))
+    b = rng.standard_normal((500, 1))
+    zero = np.zeros((500, 1))
+    gen = np.random.Generator(np.random.Philox(key=np.array([3, 0],
+                                                            dtype=np.uint64)))
+    dirs = gen.standard_normal((32, 2))
+    c = np.mean(np.abs(dirs[:, 0]) / np.linalg.norm(dirs, axis=1))
+    padded = noise_floor(np.hstack([a, zero]), np.hstack([b, zero]), seed=3)
+    assert padded == pytest.approx(c * noise_floor(a, b, seed=3), rel=1e-12)
+
+
 def test_run_ensemble_thread_invariance():
     comp, coeffs = ou_setup()
     kw = dict(z0=np.zeros((1, 1)), seed=4, n_traj=2048, h=0.05, T=1.0,

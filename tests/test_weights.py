@@ -9,7 +9,7 @@ from voltlift.weights import (build_custom, build_phi0, build_phi_coupling,
                               build_psi_lyapunov, check_lyapunov_sufficient,
                               compute_coupling_constants, distance_dphi,
                               distance_dphipsi, find_certified_constants,
-                              mu_sigma_phi, table_to_csv, weighted_functionals,
+                              mu_sigma_phi, weighted_functionals,
                               weighted_norms)
 
 EYE = np.eye(1)
@@ -157,10 +157,3 @@ def test_lyapunov_check_tempered_fractional_closed_form():
     coeffs = make_preset("linear", beta=1.0, sigma0=1.0)
     rep = check_lyapunov_sufficient(basis, coeffs)
     assert rep.I == pytest.approx(2.0 ** -0.5, abs=1e-6)
-
-
-def test_table_to_csv_shape():
-    comp = atom_component((1.0, 2.0))
-    table = build_phi0(comp)
-    text = table_to_csv(comp, table)
-    assert len(text.strip().splitlines()) == 3
