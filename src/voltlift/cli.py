@@ -146,9 +146,11 @@ def _call_checked(key, fn, spec):
 
 
 def _expsum_basis(terms):
-    if not all(isinstance(t, dict) and set(t) == {"rate", "Mb", "Ms"}
-               for t in terms):
-        raise ValueError(f"terms must be {{rate, Mb, Ms}} objects: {terms!r}")
+    if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and set(t) == {"rate", "Mb", "Ms"}
+            for t in terms):
+        raise ValueError(f"terms must be a list of {{rate, Mb, Ms}} objects, "
+                         f"got {terms!r}")
     return make_expsum_basis([(t["rate"], t["Mb"], t["Ms"]) for t in terms])
 
 
@@ -297,6 +299,8 @@ def _coupling(cfg, basis, coeffs, out_dir, threads):
 def _ergodic(cfg, basis, coeffs, out_dir, threads):
     component = _component(cfg, basis)
     times = [t for t in cfg["t_grid"] if 0 < t <= cfg["scheme"]["T"]]
+    if not times:
+        raise ConfigError("t_grid has no entry in (0, scheme.T]")
     fit = erg.ergodic_decay(component, coeffs, *_initial(cfg, component),
                             cfg["rng"]["trajectories"], times,
                             **_mc(cfg, threads))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernelbasis import DIFFUSION, DRIFT, LiftingBasis, inf_support
-from .quad import integrate_density, opnorm
+from .kernelbasis import (DIFFUSION, DRIFT, LiftingBasis, inf_support,
+                          segment_nodes)
+from .quad import opnorm
 
 FIRST_CELL_FRACTION = 1e-6
 
@@ -39,27 +40,18 @@ class ApproximatingComponent:
         return self.a.size
 
 
-def _cell_quads(seg, lo, hi, n, quad_tol):
-    """Mass, mean node, averaged matrices and norm weights of one cell."""
-    w = integrate_density(seg.rho, lo, hi, tol=quad_tol)
-    m1 = integrate_density(lambda t: t * seg.rho(t), lo, hi, tol=quad_tol)
-    node = min(max(m1 / w, lo), hi) if w > 0.0 else 0.5 * (lo + hi)
-    hH = integrate_density(lambda t: (1 + t) ** -0.5 * seg.rho(t), lo, hi,
-                           tol=quad_tol)
-    hV = integrate_density(lambda t: (1 + t) ** 0.5 * seg.rho(t), lo, hi,
-                           tol=quad_tol)
-    mb = np.empty((n, n))
-    ms = np.empty((n, n))
-    for p in range(n):
-        for q in range(n):
-            mb[p, q] = integrate_density(
-                lambda t: seg.Mb(t)[p, q] * seg.rho(t), lo, hi, tol=quad_tol)
-            ms[p, q] = integrate_density(
-                lambda t: seg.Ms(t)[p, q] * seg.rho(t), lo, hi, tol=quad_tol)
-    if w > 0.0:
-        mb /= w
-        ms /= w
-    return w, node, mb, ms, hH, hV
+def _cell_quads(seg, lo, hi):
+    """Mean nodes, masses, averaged matrices and norm weights of the cells
+    (lo, hi) of a segment (theta arrays)."""
+    th, w, mb, ms = segment_nodes(seg, lo - seg.lower, hi - seg.lower)
+    mass = w.sum(axis=-1)
+    m1, hH, hV = np.einsum("ik,fik->fi", w,
+                           [th, (1 + th) ** -0.5, (1 + th) ** 0.5])
+    mb = np.einsum("ik,ikpq->ipq", w, mb)
+    ms = np.einsum("ik,ikpq->ipq", w, ms)
+    safe = np.where(mass > 0.0, mass, 1.0)[:, None, None]  # 0: cell dropped
+    node = np.clip(m1 / safe[:, 0, 0], lo, hi)
+    return node, mass, mb / safe, ms / safe, hH, hV
 
 
 def _segment_edges(lo, hi, m, f0=FIRST_CELL_FRACTION):
@@ -75,13 +67,13 @@ def _segment_edges(lo, hi, m, f0=FIRST_CELL_FRACTION):
     return np.concatenate(([lo], lo + offsets))
 
 
-def build_component(basis, node_count, theta_max="auto", quad_tol=1e-10):
+def build_component(basis, node_count, theta_max="auto"):
     """Discretize a basis: atoms below theta_max kept exactly, density
     segments partitioned geometrically with mu-averaged matrices."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     if theta_max == "auto":
-        theta_max = auto_theta_max(basis, node_count, quad_tol)
+        theta_max = auto_theta_max(basis, node_count)
     theta_max = float(theta_max)
     kappa = inf_support(basis)
     if theta_max <= kappa:
@@ -91,13 +83,10 @@ def build_component(basis, node_count, theta_max="auto", quad_tol=1e-10):
     if node_count < len(atoms):
         raise ValueError("node_count smaller than the number of atoms kept")
 
-    rows = []
-    for a in atoms:
-        rows.append(dict(
-            a=a.theta, w=a.mass, Mb=a.Mb, Ms=a.Ms,
-            hH=a.mass * (1 + a.theta) ** -0.5,
-            hV=a.mass * (1 + a.theta) ** 0.5,
-            lo=a.theta, hi=a.theta, is_atom=True, seg=-1))
+    # one row per cell, in the field order of ApproximatingComponent
+    rows = [(a.theta, a.mass, a.Mb, a.Ms, a.mass * (1 + a.theta) ** -0.5,
+             a.mass * (1 + a.theta) ** 0.5, a.theta, a.theta, True, -1)
+            for a in atoms]
 
     clipped = []
     for j, seg in enumerate(basis.segments):
@@ -116,79 +105,49 @@ def build_component(basis, node_count, theta_max="auto", quad_tol=1e-10):
             alloc[np.argmin(alloc)] += 1
         for (j, seg, l, h), m in zip(clipped, alloc):
             edges = _segment_edges(l, h, int(m))
-            for lo_c, hi_c in zip(edges[:-1], edges[1:]):
-                w, node, mb, ms, hh, hv = _cell_quads(seg, lo_c, hi_c,
-                                                      basis.n, quad_tol)
-                if w <= 0.0:
-                    continue
-                rows.append(dict(a=node, w=w, Mb=mb, Ms=ms,
-                                 hH=hh, hV=hv, lo=lo_c, hi=hi_c,
-                                 is_atom=False, seg=j))
+            cells = zip(*_cell_quads(seg, edges[:-1], edges[1:]),
+                        edges[:-1], edges[1:])
+            rows += [(*cell, False, j) for cell in cells if cell[1] > 0.0]
 
     if not rows:
         raise ValueError("no cells below theta_max")
-    order = np.argsort([r["a"] for r in rows], kind="stable")
-    rows = [rows[i] for i in order]
-    return ApproximatingComponent(
-        n=basis.n,
-        a=np.array([r["a"] for r in rows]),
-        w=np.array([r["w"] for r in rows]),
-        Mb=np.stack([np.atleast_2d(r["Mb"]) for r in rows]),
-        Ms=np.stack([np.atleast_2d(r["Ms"]) for r in rows]),
-        hH=np.array([r["hH"] for r in rows]),
-        hV=np.array([r["hV"] for r in rows]),
-        lo=np.array([r["lo"] for r in rows]),
-        hi=np.array([r["hi"] for r in rows]),
-        is_atom=np.array([r["is_atom"] for r in rows]),
-        seg_idx=np.array([r["seg"] for r in rows]),
-        theta_max=theta_max,
-        source=basis)
+    rows.sort(key=lambda row: row[0])  # by node, stable on ties
+    return ApproximatingComponent(basis.n, *map(np.array, zip(*rows)),
+                                  theta_max=theta_max, source=basis)
 
 
-def _interior_matrix_errors(basis, component, quad_tol):
-    """Squared weighted L2 distances of Mb, Ms to the cell averages."""
+def _matrix_errors(basis, component):
+    """Squared weighted L2 distances of Mb, Ms to the cell averages, with
+    the whole |M|^2 charged on the uncovered tail above theta_max."""
+    theta_max = component.theta_max
     e_b = 0.0
     e_s = 0.0
-    for i in range(component.size):
-        if component.is_atom[i]:
+    for a in basis.atoms:
+        if a.theta >= theta_max:
+            e_b += a.mass * (1 + a.theta) ** -1.5 * opnorm(a.Mb) ** 2
+            e_s += a.mass * (1 + a.theta) ** -0.5 * opnorm(a.Ms) ** 2
+    zero = np.zeros((1, basis.n, basis.n))
+    for j, seg in enumerate(basis.segments):
+        # one offset interval per cell, plus the tail with zero matrices
+        cells = component.seg_idx == j
+        lo = component.lo[cells] - seg.lower
+        hi = component.hi[cells] - seg.lower
+        mb, ms = component.Mb[cells], component.Ms[cells]
+        tail = max(theta_max - seg.lower, 0.0)
+        if seg.span > tail:
+            lo, hi = np.append(lo, tail), np.append(hi, seg.span)
+            mb, ms = np.concatenate((mb, zero)), np.concatenate((ms, zero))
+        if lo.size == 0:
             continue
-        seg = basis.segments[component.seg_idx[i]]
-        mb_i = component.Mb[i]
-        ms_i = component.Ms[i]
-        e_b += integrate_density(
-            lambda t: (1 + t) ** -1.5 * opnorm(seg.Mb(t) - mb_i) ** 2
-            * seg.rho(t),
-            component.lo[i], component.hi[i], tol=quad_tol)
-        e_s += integrate_density(
-            lambda t: (1 + t) ** -0.5 * opnorm(seg.Ms(t) - ms_i) ** 2
-            * seg.rho(t),
-            component.lo[i], component.hi[i], tol=quad_tol)
+        th, w, mb_at, ms_at = segment_nodes(seg, lo, hi)
+        e_b += np.sum(w * (1 + th) ** -1.5
+                      * opnorm(mb_at - mb[:, None]) ** 2)
+        e_s += np.sum(w * (1 + th) ** -0.5
+                      * opnorm(ms_at - ms[:, None]) ** 2)
     return e_b, e_s
 
 
-def tail_matrix_errors(basis, theta_max, quad_tol=1e-9):
-    """Squared tail contributions: the whole |M|^2 is charged above theta_max."""
-    t_b = 0.0
-    t_s = 0.0
-    for a in basis.atoms:
-        if a.theta >= theta_max:
-            t_b += a.mass * (1 + a.theta) ** -1.5 * opnorm(a.Mb) ** 2
-            t_s += a.mass * (1 + a.theta) ** -0.5 * opnorm(a.Ms) ** 2
-    for seg in basis.segments:
-        hi = np.inf if seg.upper is None else seg.upper
-        if hi <= theta_max:
-            continue
-        lo = max(seg.lower, theta_max)
-        t_b += integrate_density(
-            lambda t: (1 + t) ** -1.5 * opnorm(seg.Mb(t)) ** 2 * seg.rho(t),
-            lo, seg.upper, tol=quad_tol)
-        t_s += integrate_density(
-            lambda t: (1 + t) ** -0.5 * opnorm(seg.Ms(t)) ** 2 * seg.rho(t),
-            lo, seg.upper, tol=quad_tol)
-    return t_b, t_s
-
-
-def epsilon_k(basis, component, quad_tol=1e-9):
+def epsilon_k(basis, component):
     """Error functional: node displacement plus the two weighted matrix
     approximation errors (uncovered tail charged in full)."""
     if component.source is not basis:
@@ -200,12 +159,11 @@ def epsilon_k(basis, component, quad_tol=1e-9):
         lo, hi, a = component.lo[i], component.hi[i], component.a[i]
         # |theta - a| / (1 + theta) is piecewise monotone about a
         disp = max(disp, abs(lo - a) / (1 + lo), abs(hi - a) / (1 + hi))
-    e_b, e_s = _interior_matrix_errors(basis, component, quad_tol)
-    t_b, t_s = tail_matrix_errors(basis, component.theta_max, quad_tol)
-    return disp + np.sqrt(e_b + t_b) + np.sqrt(e_s + t_s)
+    e_b, e_s = _matrix_errors(basis, component)
+    return disp + np.sqrt(e_b) + np.sqrt(e_s)
 
 
-def auto_theta_max(basis, node_count, quad_tol=1e-9):
+def auto_theta_max(basis, node_count):
     """Doubling search: pick the cutoff minimizing the total error
     functional. Raising the cutoff shrinks the uncovered tail but spreads
     the fixed node budget thinner, so the proxy is unimodal in practice;
@@ -220,8 +178,8 @@ def auto_theta_max(basis, node_count, quad_tol=1e-9):
     probe = min(node_count, max(48, len(basis.atoms) + len(basis.segments)))
     best, best_val, worse = cand, np.inf, 0
     for _ in range(16):
-        comp = build_component(basis, probe, cand, quad_tol)
-        val = epsilon_k(basis, comp, quad_tol)
+        comp = build_component(basis, probe, cand)
+        val = epsilon_k(basis, comp)
         if val < best_val:
             best, best_val, worse = cand, val, 0
         else:

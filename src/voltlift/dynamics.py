@@ -307,7 +307,11 @@ def _const_sigma(value, n, d):
 
 def preset_linear(beta=1.0, c=0.0, sigma0=1.0, n=1):
     """b(x) = -beta x + c with constant diffusion."""
-    cvec = np.broadcast_to(np.atleast_1d(c), (n,)).astype(float)
+    cvec = np.atleast_1d(np.asarray(c, dtype=float))
+    if cvec.shape not in ((1,), (n,)):
+        raise ValueError(f"c must be a number or a list of n = {n} numbers, "
+                         f"got {c!r}")
+    cvec = np.broadcast_to(cvec, (n,)).copy()
 
     def b(x):
         return -beta * np.asarray(x, dtype=float) + cvec

@@ -224,8 +224,8 @@ def lift_independence_test(basis_a, basis_b, coeffs, T, n_traj, k=64,
         t_grid = np.geomspace(1e-1, 5.0, 9)
     for which in (DRIFT, DIFFUSION):
         for t in t_grid:
-            ka = eval_kernel(basis_a, which, float(t), quad_tol=1e-10)
-            kb = eval_kernel(basis_b, which, float(t), quad_tol=1e-10)
+            ka = eval_kernel(basis_a, which, float(t))
+            kb = eval_kernel(basis_b, which, float(t))
             scale = max(np.linalg.norm(ka), np.linalg.norm(kb), 1e-300)
             if np.linalg.norm(ka - kb) > kernel_rtol * scale:
                 raise ValueError(

@@ -3,6 +3,12 @@
 A basis is a measure mu on [0, inf) given as atoms plus density segments,
 together with matrix weights Mb(theta), Ms(theta).  It generates the kernel
 pair K(t) = integral of exp(-theta*t) * M(theta) mu(dtheta).
+
+A segment's density and matrices are functions of the offset
+u = theta - lower, evaluated over arrays: rho maps u to an array of u's
+shape, Mb and Ms to u's shape + (n, n) (a constant matrix may come back as
+a single (n, n)).  Offsets keep their relative precision next to a
+singular lower endpoint, where theta itself would round to the endpoint.
 """
 
 from __future__ import annotations
@@ -10,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .quad import diverges_at_lower, integrate_density, opnorm
+from .quad import diverges_at_lower, nodes, opnorm
 
 DRIFT = "drift"
 DIFFUSION = "diffusion"
@@ -32,11 +39,16 @@ class Atom:
 class DensitySegment:
     lower: float
     upper: float | None          # None encodes an unbounded segment
-    rho: object                  # scalar density theta -> float
-    Mb: object                   # theta -> (n, n) array
+    rho: object                  # density, offsets u -> u.shape
+    Mb: object                   # offsets u -> u.shape + (n, n)
     Ms: object
     family: str = "table"
     params: dict = field(default_factory=dict)
+    kinks: tuple = ()            # offsets where rho, Mb or Ms have a kink
+
+    @property
+    def span(self):
+        return np.inf if self.upper is None else self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,9 @@ def make_expsum_basis(terms):
     )
 
 
-def _tf_callables(p):
-    """Density and matrix-weight callables for the tempered fractional family.
+def _tf_callables(p, lower):
+    """Density and matrix weights of the tempered fractional family at the
+    offsets u = theta - lower of a segment.
 
     rho(theta) = (theta-kb)^(-gb) 1_{theta>kb} + (theta-ks)^(-gs) 1_{theta>ks}
     Mb(theta)  = cb * (theta-kb)^(-ab) / rho(theta) * I on {theta > kb}
@@ -98,28 +111,23 @@ def _tf_callables(p):
     ab, as_ = p["alpha_b"], p["alpha_s"]
     kb, ks = p["kappa_b"], p["kappa_s"]
     gb, gs = p["gamma_b"], p["gamma_s"]
-    n = p["n"]
-    eye = np.eye(n)
+    eye = np.eye(p["n"])
     cb = 1.0 / (_gamma(ab) * _gamma(1.0 - ab))
     cs = 1.0 / (_gamma(as_) * _gamma(1.0 - as_))
 
-    def rho(theta):
-        v = 0.0
-        if theta > kb:
-            v += (theta - kb) ** (-gb)
-        if theta > ks:
-            v += (theta - ks) ** (-gs)
-        return v
+    def power(u, kappa, g):
+        # theta - kappa formed as (lower - kappa) + u: exact when lower == kappa
+        d = (lower - kappa) + np.asarray(u, dtype=float)
+        return np.where(d > 0.0, np.where(d > 0.0, d, 1.0) ** -g, 0.0)
 
-    def mb(theta):
-        if theta <= kb:
-            return 0.0 * eye
-        return (cb * (theta - kb) ** (-ab) / rho(theta)) * eye
+    def rho(u):
+        return power(u, kb, gb) + power(u, ks, gs)
 
-    def ms(theta):
-        if theta <= ks:
-            return 0.0 * eye
-        return (cs * (theta - ks) ** (-as_) / rho(theta)) * eye
+    def mb(u):
+        return (cb * power(u, kb, ab) / rho(u))[..., None, None] * eye
+
+    def ms(u):
+        return (cs * power(u, ks, as_) / rho(u))[..., None, None] * eye
 
     return rho, mb, ms
 
@@ -147,17 +155,11 @@ def make_tempered_fractional_basis(alpha_b, alpha_s, kappa_b, kappa_s,
 
     params = dict(alpha_b=alpha_b, alpha_s=alpha_s, kappa_b=kappa_b,
                   kappa_s=kappa_s, gamma_b=gamma_b, gamma_s=gamma_s, n=n)
-    rho, mb, ms = _tf_callables(params)
-
     klo, khi = min(kappa_b, kappa_s), max(kappa_b, kappa_s)
-    segs = []
-    if klo < khi:
-        segs.append(DensitySegment(klo, khi, rho, mb, ms,
-                                   family="tempered_fractional",
-                                   params=dict(params)))
-    segs.append(DensitySegment(khi, None, rho, mb, ms,
-                               family="tempered_fractional",
-                               params=dict(params)))
+    bounds = [(klo, khi), (khi, None)] if klo < khi else [(khi, None)]
+    segs = [DensitySegment(lo, hi, *_tf_callables(params, lo),
+                           family="tempered_fractional", params=dict(params))
+            for lo, hi in bounds]
 
     eye = np.eye(n)
 
@@ -173,7 +175,45 @@ def make_tempered_fractional_basis(alpha_b, alpha_s, kappa_b, kappa_s,
                         closed_forms={DRIFT: k_drift, DIFFUSION: k_diff})
 
 
-def eval_kernel(basis, which, t, quad_tol=1e-10):
+def segment_nodes(seg, lo, hi):
+    """Quadrature nodes of the offset intervals (lo, hi) of a segment.
+
+    lo and hi broadcast to 1-d (hi may be inf).  Each interval is split at
+    the segment's kinks and each piece gets the rule of ``quad.nodes``.
+    Returns theta and the rho-weighted weights, shape (I, N), and Mb, Ms,
+    shape (I, N, n, n): the integral of f(theta) rho over interval i is
+    sum(w[i] * f(theta[i])).
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.asarray(hi, dtype=float))
+    kinks = np.asarray(seg.kinks, dtype=float)
+    first = np.searchsorted(kinks, lo, "right")[:, None]
+    inner = np.maximum(np.searchsorted(kinks, hi, "left")[:, None] - first, 0)
+    # piece j of an interval lies between its cuts j and j + 1; an interval
+    # with fewer kinks than another repeats its last piece with zero weight
+    j = np.arange(inner.max() + 1)
+    piece = np.minimum(j, inner)
+    cuts = np.append(kinks, np.nan)
+    a = np.where(piece == 0, lo[:, None], cuts[first + piece - 1])
+    b = np.where(piece == inner, hi[:, None], cuts[first + piece])
+    u, w = nodes(a, b)
+    u = (a[..., None] + u).reshape(lo.size, -1)
+    w = np.where((j <= inner)[..., None], w, 0.0).reshape(lo.size, -1)
+
+    def mats(f):
+        m = np.asarray(f(u), dtype=float)
+        return np.broadcast_to(m, u.shape + m.shape[-2:])
+
+    return seg.lower + u, w * seg.rho(u), mats(seg.Mb), mats(seg.Ms)
+
+
+def _segment_integral(seg, f, lo, hi):
+    """Integrals of f(theta, Mb, Ms) rho over the offset intervals (lo, hi)."""
+    th, w, mb, ms = segment_nodes(seg, lo, hi)
+    return np.sum(w * f(th, mb, ms), axis=-1)
+
+
+def eval_kernel(basis, which, t):
     """K(t) = sum over atoms + density integral of exp(-theta t) M(theta)."""
     if t <= 0.0:
         raise ValueError("kernel evaluation requires t > 0")
@@ -184,12 +224,9 @@ def eval_kernel(basis, which, t, quad_tol=1e-10):
         m = a.Mb if which == DRIFT else a.Ms
         out += a.mass * math.exp(-a.theta * t) * m
     for seg in basis.segments:
-        mfun = seg.Mb if which == DRIFT else seg.Ms
-        for p in range(basis.n):
-            for q in range(basis.n):
-                out[p, q] += integrate_density(
-                    lambda th: math.exp(-th * t) * mfun(th)[p, q] * seg.rho(th),
-                    seg.lower, seg.upper, tol=quad_tol)
+        th, w, mb, ms = segment_nodes(seg, 0.0, seg.span)
+        out += np.einsum("ik,ikpq->pq", w * np.exp(-th * t),
+                         mb if which == DRIFT else ms)
     return out
 
 
@@ -207,22 +244,21 @@ class IntegrabilityReport:
         return not (self.diverges_mu or self.diverges_b or self.diverges_sigma)
 
 
-def _measure_integral(basis, f, quad_tol):
-    """Integral of scalar f(theta) against mu, with a divergence flag."""
+def _measure_integral(basis, f):
+    """Integral of f(theta, Mb, Ms) against mu, with a divergence flag."""
     total = 0.0
     diverges = False
     for a in basis.atoms:
-        v = f(a.theta)
+        v = f(a.theta, a.Mb, a.Ms)
         if not np.isfinite(v):
             diverges = True
         else:
             total += a.mass * v
     for seg in basis.segments:
-        g = lambda th: f(th) * seg.rho(th)
-        if diverges_at_lower(g, seg.lower, seg.upper):
+        if diverges_at_lower(partial(_segment_integral, seg, f), seg.span):
             diverges = True
             continue
-        v = integrate_density(g, seg.lower, seg.upper, tol=quad_tol)
+        v = _segment_integral(seg, f, 0.0, seg.span)[0]
         if not np.isfinite(v):
             diverges = True
         else:
@@ -230,64 +266,47 @@ def _measure_integral(basis, f, quad_tol):
     return total, diverges
 
 
-def validate_basis(basis, quad_tol=1e-10):
+def validate_basis(basis):
     """Report the three integrability integrals; divergence is an outcome."""
-    def f_mu(th):
+    def f_mu(th, mb, ms):
         return (1.0 + th) ** -0.5
 
-    def f_b(th):
-        return (1.0 + th) ** -1.5 * _opnorm_at(basis, DRIFT, th) ** 2
+    def f_b(th, mb, ms):
+        return (1.0 + th) ** -1.5 * opnorm(mb) ** 2
 
-    def f_s(th):
-        return (1.0 + th) ** -0.5 * _opnorm_at(basis, DIFFUSION, th) ** 2
+    def f_s(th, mb, ms):
+        return (1.0 + th) ** -0.5 * opnorm(ms) ** 2
 
-    i_mu, d_mu = _measure_integral(basis, f_mu, quad_tol)
-    i_b, d_b = _measure_integral(basis, f_b, quad_tol)
-    i_s, d_s = _measure_integral(basis, f_s, quad_tol)
+    i_mu, d_mu = _measure_integral(basis, f_mu)
+    i_b, d_b = _measure_integral(basis, f_b)
+    i_s, d_s = _measure_integral(basis, f_s)
     return IntegrabilityReport(i_mu, i_b, i_s, d_mu, d_b, d_s)
 
 
-def _opnorm_at(basis, which, theta):
-    """Operator norm of M(theta); resolves which atom/segment covers theta."""
-    for a in basis.atoms:
-        if a.theta == theta:
-            return opnorm(a.Mb if which == DRIFT else a.Ms)
-    for seg in basis.segments:
-        hi = np.inf if seg.upper is None else seg.upper
-        if seg.lower <= theta < hi:
-            m = (seg.Mb if which == DRIFT else seg.Ms)(theta)
-            return opnorm(m)
-    return 0.0
+def _density(th, mb, ms):
+    return 1.0
 
 
-def _segment_mass(seg, quad_tol=1e-9):
+def _segment_mass(seg):
     # removability probe only; truncate infinite tails (raw segment mass may
     # be infinite for heavy-tailed densities, which still means "not removable")
-    hi = seg.upper if seg.upper is not None else seg.lower + 16.0
-    return integrate_density(seg.rho, seg.lower, hi, tol=quad_tol)
+    return _segment_integral(seg, _density, 0.0, min(seg.span, 16.0))[0]
 
 
 def inf_support(basis):
     """kappa = inf supp mu: min over atoms and nonzero-mass segment lowers."""
     lows = [a.theta for a in basis.atoms]
-    for seg in basis.segments:
-        hi = seg.upper if seg.upper is not None else seg.lower + 10.0
-        probes = np.linspace(seg.lower, hi, 33)[1:]
-        if any(seg.rho(float(t)) > 0.0 for t in probes):
-            lows.append(seg.lower)
+    lows += [seg.lower for seg in basis.segments if _segment_mass(seg) > 0.0]
     if not lows:
         raise ValueError("empty basis has no support")
     return min(lows)
 
 
-def is_compact_embedding(basis, quad_tol=1e-9):
+def is_compact_embedding(basis):
     """True iff mu is purely atomic (zero-mass segments are removable)."""
-    for seg in basis.segments:
-        if diverges_at_lower(seg.rho, seg.lower, seg.upper):
-            return False
-        if _segment_mass(seg, quad_tol) > 0.0:
-            return False
-    return True
+    return not any(
+        diverges_at_lower(partial(_segment_integral, seg, _density), seg.span)
+        or _segment_mass(seg) > 0.0 for seg in basis.segments)
 
 
 def merge_bases(a, b):
@@ -311,28 +330,28 @@ def make_table_segment(lower, upper, thetas, rhos, Mbs, Mss, n):
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1 or th.size < 2 or np.any(np.diff(th) <= 0):
         raise ValueError("table thetas must be strictly increasing, >= 2 rows")
+    lower = float(lower)
     lr = np.log(np.maximum(np.asarray(rhos, dtype=float), 1e-300))
     mb = np.asarray(Mbs, dtype=float).reshape(th.size, n, n)
     ms = np.asarray(Mss, dtype=float).reshape(th.size, n, n)
     lth = np.log(th)
 
-    def rho(t):
-        return float(np.exp(np.interp(np.log(t), lth, lr)))
-
-    def interp_mat(tab, t):
-        x = np.log(t)
-        out = np.empty((n, n))
-        for p in range(n):
-            for q in range(n):
-                out[p, q] = np.interp(x, lth, tab[:, p, q])
-        return out
+    def interp(tab, u):
+        # np.interp in log theta (clamped at the end rows), over the rows
+        # of a table of any trailing shape
+        x = np.log(lower + np.asarray(u, dtype=float))
+        i = np.clip(np.searchsorted(lth, x), 1, th.size - 1)
+        f = np.clip((x - lth[i - 1]) / (lth[i] - lth[i - 1]), 0.0, 1.0)
+        f = f.reshape(f.shape + (1,) * (tab.ndim - 1))
+        return (1.0 - f) * tab[i - 1] + f * tab[i]
 
     return DensitySegment(
-        lower=float(lower), upper=None if upper is None else float(upper),
-        rho=rho, Mb=lambda t: interp_mat(mb, t), Ms=lambda t: interp_mat(ms, t),
-        family="table",
+        lower=lower, upper=None if upper is None else float(upper),
+        rho=lambda u: np.exp(interp(lr, u)), Mb=lambda u: interp(mb, u),
+        Ms=lambda u: interp(ms, u), family="table",
         params=dict(thetas=th.tolist(), rhos=np.asarray(rhos, float).tolist(),
-                    Mbs=mb.tolist(), Mss=ms.tolist(), n=n))
+                    Mbs=mb.tolist(), Mss=ms.tolist(), n=n),
+        kinks=tuple(th - lower))
 
 
 def basis_to_json(basis):
@@ -360,11 +379,11 @@ def basis_from_json(text):
             params = {k: s[k] for k in ("alpha_b", "alpha_s", "kappa_b",
                                         "kappa_s", "gamma_b", "gamma_s")}
             params["n"] = n
-            rho, mb, ms = _tf_callables(params)
-            segs.append(DensitySegment(float(s["lower"]),
+            lower = float(s["lower"])
+            segs.append(DensitySegment(lower,
                                        None if s["upper"] is None
                                        else float(s["upper"]),
-                                       rho, mb, ms,
+                                       *_tf_callables(params, lower),
                                        family="tempered_fractional",
                                        params=params))
         elif s["family"] == "table":

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernelbasis import inf_support
-from .quad import integrate_density, opnorm
+from .kernelbasis import inf_support, segment_nodes
+from .quad import opnorm
 
 SYM_TOL = 1e-12
 COND_GUARD = 1e12
@@ -258,42 +258,37 @@ class LyapunovReport:
     details: dict
 
 
-def check_lyapunov_sufficient(basis, coeffs, quad_tol=1e-10):
+def _sym_nnd(mat):
+    """Every matrix of a stack (or one matrix) symmetric and nonnegative
+    definite."""
+    tr = np.swapaxes(mat, -1, -2)
+    size = np.maximum(np.linalg.norm(mat, axis=(-2, -1)), 1e-300)
+    sym = np.linalg.norm(mat - tr, axis=(-2, -1)) <= SYM_TOL * size
+    low = np.linalg.eigvalsh(0.5 * (mat + tr))[..., 0]
+    return bool(np.all(sym & (low >= -1e-12)))
+
+
+def check_lyapunov_sufficient(basis, coeffs):
     """Checkable sufficient conditions for the Lyapunov estimate.
 
-    Conditions: kappa > 0; M_b symmetric nonnegative definite; drift
-    coercivity gamma times I = integral of theta^{-1} |M_b|_op d mu below 1;
-    sigma sublinear with exponent p in (0, 1).
+    Conditions: kappa > 0; M_b symmetric nonnegative definite (on the
+    atoms and at the quadrature nodes of the segments); drift coercivity
+    gamma times I = integral of theta^{-1} |M_b|_op d mu below 1; sigma
+    sublinear with exponent p in (0, 1).
     """
     details = {}
     kappa = inf_support(basis)
     details["kappa_positive"] = kappa > 0.0
 
-    sym_nnd = True
-    for a in basis.atoms:
-        vals = np.linalg.eigvalsh(0.5 * (a.Mb + a.Mb.T))
-        if (np.linalg.norm(a.Mb - a.Mb.T)
-                > SYM_TOL * max(np.linalg.norm(a.Mb), 1e-300)
-                or vals[0] < -1e-12):
-            sym_nnd = False
-    for seg in basis.segments:
-        hi = seg.upper if seg.upper is not None else seg.lower + 1e3
-        for t in np.geomspace(seg.lower + 1e-9 * (1 + seg.lower), hi, 17):
-            mb = seg.Mb(float(t))
-            vals = np.linalg.eigvalsh(0.5 * (mb + mb.T))
-            if (np.linalg.norm(mb - mb.T)
-                    > SYM_TOL * max(np.linalg.norm(mb), 1e-300)
-                    or vals[0] < -1e-12):
-                sym_nnd = False
-    details["Mb_symmetric_nnd"] = sym_nnd
-
+    sym_nnd = all(_sym_nnd(a.Mb) for a in basis.atoms)
     i_val = 0.0
     for a in basis.atoms:
         i_val += a.mass * opnorm(a.Mb) / a.theta if a.theta > 0 else np.inf
     for seg in basis.segments:
-        i_val += integrate_density(
-            lambda t: opnorm(seg.Mb(t)) / t * seg.rho(t),
-            seg.lower, seg.upper, tol=quad_tol)
+        th, w, mb, _ = segment_nodes(seg, 0.0, seg.span)
+        sym_nnd = _sym_nnd(mb) and sym_nnd
+        i_val += float(np.sum(w * opnorm(mb) / th))
+    details["Mb_symmetric_nnd"] = sym_nnd
     gamma = coeffs.gamma
     details["gamma_available"] = gamma is not None
     smallness = (gamma is not None and gamma * i_val < 1.0)
@@ -306,4 +301,3 @@ def check_lyapunov_sufficient(basis, coeffs, quad_tol=1e-10):
     margin = 1.0 - gamma * i_val if gamma is not None else -np.inf
     return LyapunovReport(passed=passed, margin=margin, I=i_val, kappa=kappa,
                           details=details)
-

@@ -217,6 +217,13 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     ("ipm_convergence", {"ladder": [8]}, "ladder", 0, 2),
     # a partial section takes the rest from its default (initial.y2)
     ("coupling", {"initial": {"y1": 2.0}, "coefficients": TANH}, None, 0, 0),
+    # a builder's own type or shape check names the argument
+    ("simulate", {"basis": {"kind": "expsum", "terms": 5}}, "terms must",
+     2, 2),
+    ("simulate", {"coefficients": {"preset": "linear", "c": [1.0, 2.0],
+                                   "n": 1}}, "c must", 2, 2),
+    # no t_grid entry in (0, scheme.T], which the runner checks
+    ("ergodic", {"t_grid": [5.0]}, "t_grid", 0, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):

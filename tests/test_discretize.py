@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from voltlift.discretize import (build_component, epsilon_k, observe,
                                  reconstructed_kernel)
 from voltlift.kernelbasis import (DIFFUSION, DRIFT, DensitySegment,
-                                  LiftingBasis, make_expsum_basis,
+                                  LiftingBasis, eval_kernel,
+                                  make_expsum_basis, make_table_segment,
                                   make_tempered_fractional_basis)
+from voltlift.quad import integrate_density, opnorm
 
 EYE = np.eye(1)
 
@@ -112,10 +114,8 @@ def test_observe_shapes_and_values():
        k=st.integers(2, 24))
 def test_cell_weight_inequalities(alpha_b, kappa, k):
     basis = make_tempered_fractional_basis(alpha_b, 0.75, kappa, kappa)
-    comp = build_component(basis, k, theta_max=kappa + 40.0, quad_tol=1e-9)
-    # near-equality cases sit on top of float cancellation in (theta - kappa)
-    # inside the sliver cell, so the comparison needs a loose slack
-    slack = 1.0 + 1e-4
+    comp = build_component(basis, k, theta_max=kappa + 40.0)
+    slack = 1.0 + 1e-12
     assert np.all(comp.hH * comp.hV * slack >= comp.w ** 2)
     assert np.all(comp.hH <= slack * comp.w / np.sqrt(1.0 + comp.lo))
     assert np.all(comp.hH * slack >= comp.w / np.sqrt(1.0 + comp.hi))
@@ -126,3 +126,82 @@ def test_epsilon_strictly_decreasing_on_refinement():
     eps = [epsilon_k(basis, build_component(basis, k, theta_max=200.0))
            for k in (4, 8, 16)]
     assert eps[0] > eps[1] > eps[2]
+
+
+def table_basis():
+    seg = make_table_segment(1.0, 100.0, [1.0, 10.0, 100.0], [1.0, 0.3, 0.1],
+                             [[[1.0]], [[2.0]], [[0.5]]],
+                             [[[0.5]], [[1.0]], [[2.0]]], n=1)
+    return LiftingBasis(n=1, atoms=(), segments=(seg,))
+
+
+def _qags(f, lo, hi):
+    # the QAGS oracle in offset form: f takes u = theta - segment lower
+    return integrate_density(f, lo, hi, tol=1e-13)
+
+
+# Every cell quantity, epsilon_k and the kernel against per-entry QAGS.
+@pytest.mark.parametrize("make, theta_max", [
+    (lambda: make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0), 64.0),
+    (lambda: make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0), 64.0),
+    (lambda: make_tempered_fractional_basis(0.3, 0.95, 0.5, 0.5, n=2), 64.0),
+    (table_basis, 50.0),
+], ids=["tempered", "two_segments", "n2", "table"])
+def test_quadrature_matches_qags_oracle(make, theta_max):
+    basis = make()
+    comp = build_component(basis, 12, theta_max=theta_max)
+    n = basis.n
+    err = {DRIFT: 0.0, DIFFUSION: 0.0}
+    weight = {DRIFT: -1.5, DIFFUSION: -0.5}
+    for i in range(comp.size):
+        seg = basis.segments[comp.seg_idx[i]]
+        lo, hi, low = comp.lo[i] - seg.lower, comp.hi[i] - seg.lower, seg.lower
+        w = _qags(seg.rho, lo, hi)
+        want = [w, _qags(lambda u: (low + u) * seg.rho(u), lo, hi) / w,
+                _qags(lambda u: (1 + low + u) ** -0.5 * seg.rho(u), lo, hi),
+                _qags(lambda u: (1 + low + u) ** 0.5 * seg.rho(u), lo, hi)]
+        got = [comp.w[i], comp.a[i], comp.hH[i], comp.hV[i]]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        for which, mfun, mat in ((DRIFT, seg.Mb, comp.Mb[i]),
+                                 (DIFFUSION, seg.Ms, comp.Ms[i])):
+            want = [[_qags(lambda u: mfun(u)[p, q] * seg.rho(u), lo, hi) / w
+                     for q in range(n)] for p in range(n)]
+            np.testing.assert_allclose(mat, want, rtol=1e-9)
+            err[which] += _qags(
+                lambda u: (1 + low + u) ** weight[which]
+                * opnorm(mfun(u) - mat) ** 2 * seg.rho(u), lo, hi)
+    for seg in basis.segments:
+        upper = None if seg.upper is None else seg.upper - seg.lower
+        tail = max(theta_max - seg.lower, 0.0)
+        for which, mfun in ((DRIFT, seg.Mb), (DIFFUSION, seg.Ms)):
+            if upper is None or upper > tail:
+                err[which] += _qags(
+                    lambda u: (1 + seg.lower + u) ** weight[which]
+                    * opnorm(mfun(u)) ** 2 * seg.rho(u), tail, upper)
+    disp = max(max(abs(lo - a) / (1 + lo), abs(hi - a) / (1 + hi))
+               for lo, hi, a in zip(comp.lo, comp.hi, comp.a))
+    assert epsilon_k(basis, comp) == pytest.approx(
+        disp + np.sqrt(err[DRIFT]) + np.sqrt(err[DIFFUSION]), rel=1e-9)
+    for which in (DRIFT, DIFFUSION):
+        for t in (0.01, 0.1, 1.0, 5.0):
+            want = np.zeros((n, n))
+            for seg in basis.segments:
+                upper = None if seg.upper is None else seg.upper - seg.lower
+                mfun = seg.Mb if which == DRIFT else seg.Ms
+                want += [[_qags(lambda u: np.exp(-(seg.lower + u) * t)
+                                * mfun(u)[p, q] * seg.rho(u), 0.0, upper)
+                          for q in range(n)] for p in range(n)]
+            np.testing.assert_allclose(eval_kernel(basis, which, t), want,
+                                       rtol=1e-9)
+
+
+def test_sliver_cell_mass_is_exact():
+    # rho = u^-gb + u^-gs next to kappa, gb = gs = 3/4: the first cell's
+    # mass is the sum of w^(1 - g) / (1 - g), w its width.  Forming
+    # theta - kappa after theta has rounded to kappa loses 0.28% of it.
+    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0)
+    comp = build_component(basis, 16, theta_max=64.0)
+    width = comp.hi[0] - comp.lo[0]
+    g = basis.segments[0].params["gamma_b"], basis.segments[0].params["gamma_s"]
+    want = sum(width ** (1 - gi) / (1 - gi) for gi in g)
+    assert comp.w[0] == pytest.approx(want, rel=1e-12)
