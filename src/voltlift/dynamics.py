@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import Generator, Philox
+
 DRIFT_FACTOR_CUTOFF = 1e-8
 NOISE_BLOCK_STEPS = 256
 
@@ -101,7 +103,7 @@ class NoisePlan:
 
     def generator(self):
         key = np.array([self.seed, self.trajectory_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
     def increments(self):
         """Brownian increments, shape (n_steps, d); step index = row."""

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .discretize import build_component, epsilon_k, observe
 from .dynamics import make_plans, simulate_lifted_ensemble
@@ -280,9 +279,21 @@ def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2, threads=1,
     w1 = np.array([_marginal_w1(mk, finest, seed=seed)
                    for mk in marginals[:-1]])
     floor = noise_floor(finest, finest, seed=seed)
-    rho, _ = stats.spearmanr(eps[:-1], w1)
     return IpmTrend(ks=np.asarray(ks[:-1]), eps=np.asarray(eps[:-1]), w1=w1,
-                    finest_floor=float(floor), spearman=float(rho))
+                    finest_floor=float(floor),
+                    spearman=_spearman(eps[:-1], w1))
+
+
+def _spearman(x, y):
+    """Spearman rank correlation of two samples, ties taking their mean
+    rank; NaN when a sample has one entry or is constant."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+        return float("nan")
+    # rank = 1 + #smaller + (#equal - 1) / 2; quadratic, for ladder sizes
+    ranks = [(v[:, None] > v).sum(1) + 0.5 * ((v[:, None] == v).sum(1) + 1)
+             for v in (x, y)]
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 def path_seminorm(component, path, T):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .quad import diverges_at_lower, nodes, opnorm
 
@@ -112,13 +111,14 @@ def _tf_callables(p, lower):
     kb, ks = p["kappa_b"], p["kappa_s"]
     gb, gs = p["gamma_b"], p["gamma_s"]
     eye = np.eye(p["n"])
-    cb = 1.0 / (_gamma(ab) * _gamma(1.0 - ab))
-    cs = 1.0 / (_gamma(as_) * _gamma(1.0 - as_))
+    cb = 1.0 / (math.gamma(ab) * math.gamma(1.0 - ab))
+    cs = 1.0 / (math.gamma(as_) * math.gamma(1.0 - as_))
 
     def power(u, kappa, g):
         # theta - kappa formed as (lower - kappa) + u: exact when lower == kappa
         d = (lower - kappa) + np.asarray(u, dtype=float)
-        return np.where(d > 0.0, np.where(d > 0.0, d, 1.0) ** -g, 0.0)
+        # zero at and below kappa, where no power is taken
+        return np.power(d, -g, out=np.zeros_like(d), where=d > 0.0)
 
     def rho(u):
         return power(u, kb, gb) + power(u, ks, gs)
@@ -165,24 +165,23 @@ def make_tempered_fractional_basis(alpha_b, alpha_s, kappa_b, kappa_s,
 
     def k_drift(t):
         return (t ** (alpha_b - 1.0) * math.exp(-kappa_b * t)
-                / _gamma(alpha_b)) * eye
+                / math.gamma(alpha_b)) * eye
 
     def k_diff(t):
         return (t ** (alpha_s - 1.0) * math.exp(-kappa_s * t)
-                / _gamma(alpha_s)) * eye
+                / math.gamma(alpha_s)) * eye
 
     return LiftingBasis(n=n, atoms=(), segments=tuple(segs),
                         closed_forms={DRIFT: k_drift, DIFFUSION: k_diff})
 
 
-def segment_nodes(seg, lo, hi):
-    """Quadrature nodes of the offset intervals (lo, hi) of a segment.
+def _offset_nodes(seg, lo, hi):
+    """Offsets u and rule weights w, shape (I, N), of the offset intervals
+    (lo, hi) of a segment: the integral of g(u) over interval i is
+    sum(w[i] * g(u[i])).
 
     lo and hi broadcast to 1-d (hi may be inf).  Each interval is split at
     the segment's kinks and each piece gets the rule of ``quad.nodes``.
-    Returns theta and the rho-weighted weights, shape (I, N), and Mb, Ms,
-    shape (I, N, n, n): the integral of f(theta) rho over interval i is
-    sum(w[i] * f(theta[i])).
     """
     lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
                                  np.asarray(hi, dtype=float))
@@ -197,8 +196,18 @@ def segment_nodes(seg, lo, hi):
     a = np.where(piece == 0, lo[:, None], cuts[first + piece - 1])
     b = np.where(piece == inner, hi[:, None], cuts[first + piece])
     u, w = nodes(a, b)
-    u = (a[..., None] + u).reshape(lo.size, -1)
-    w = np.where((j <= inner)[..., None], w, 0.0).reshape(lo.size, -1)
+    return ((a[..., None] + u).reshape(lo.size, -1),
+            np.where((j <= inner)[..., None], w, 0.0).reshape(lo.size, -1))
+
+
+def segment_nodes(seg, lo, hi):
+    """Quadrature nodes of the offset intervals (lo, hi) of a segment.
+
+    Returns theta and the rho-weighted weights, shape (I, N), and Mb, Ms,
+    shape (I, N, n, n), at the nodes of ``_offset_nodes``: the integral of
+    f(theta) rho over interval i is sum(w[i] * f(theta[i])).
+    """
+    u, w = _offset_nodes(seg, lo, hi)
 
     def mats(f):
         m = np.asarray(f(u), dtype=float)
@@ -290,7 +299,8 @@ def _density(th, mb, ms):
 def _segment_mass(seg):
     # removability probe only; truncate infinite tails (raw segment mass may
     # be infinite for heavy-tailed densities, which still means "not removable")
-    return _segment_integral(seg, _density, 0.0, min(seg.span, 16.0))[0]
+    u, w = _offset_nodes(seg, 0.0, min(seg.span, 16.0))
+    return np.sum(w * seg.rho(u), axis=-1)[0]
 
 
 def inf_support(basis):

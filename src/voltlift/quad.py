@@ -4,7 +4,8 @@ Density integrands may carry an integrable power singularity at the lower
 endpoint of their segment.  The production rule is ``nodes``, a fixed
 double-exponential rule evaluated over arrays.  ``integrate_density`` is
 adaptive QAGS after the substitution theta = lower + s**2, which flattens
-(theta - lower)**(-g) for g < 1; it is kept as the reference oracle.
+(theta - lower)**(-g) for g < 1; it is kept as the reference oracle, and it
+is the only function that needs scipy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 PROBE_DEPTH = 12
 # a nonintegrable power tail pins successive sliver ratios at or above 1;
@@ -23,6 +23,8 @@ HUGE = 1e12
 
 def integrate_density(f, lower, upper, tol=1e-10):
     """Integrate scalar f(theta) over (lower, upper); upper=None means +inf."""
+    from scipy import integrate
+
     hi = np.inf if upper is None else float(upper)
     lo = float(lower)
     if hi <= lo:
@@ -110,5 +112,16 @@ def opnorm(mat):
     a = np.asarray(mat, dtype=float)
     if a.ndim <= 2:
         return float(np.linalg.norm(np.atleast_2d(a), 2))
-    top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
+    # top eigenvalue of the Gram matrix G = M^T M, in closed form for n <= 2
+    n = a.shape[-1]
+    if n == 1:
+        top = a[..., 0, 0] ** 2
+    elif n == 2:
+        c0, c1 = a[..., 0], a[..., 1]
+        g11 = c0[..., 0] ** 2 + c0[..., 1] ** 2
+        g22 = c1[..., 0] ** 2 + c1[..., 1] ** 2
+        g12 = c0[..., 0] * c1[..., 0] + c0[..., 1] * c1[..., 1]
+        top = 0.5 * (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12))
+    else:
+        top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -271,6 +274,31 @@ SHIPPED = sorted(p.name for p in CONFIGS.glob("*.json")
 def test_shipped_configs_validate(name, capsys):
     assert main(["validate", "--config", str(CONFIGS / name)]) == 0, \
         capsys.readouterr().err
+
+
+_NO_SCIPY_RUN = """
+import sys
+import voltlift
+import voltlift.cli as cli
+configs, out = sys.argv[1:]
+for name in ("ipm_convergence", "kernel_error"):
+    rc = cli.main(["run", "--config", f"{configs}/{name}.json",
+                   "--out", f"{out}/{name}", "--threads", "1"])
+    assert rc == 0, (name, rc)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this process has scipy loaded by other tests
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(CONFIGS),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _leaf_paths(node, path=()):

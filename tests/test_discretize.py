@@ -195,6 +195,32 @@ def test_quadrature_matches_qags_oracle(make, theta_max):
                                        rtol=1e-9)
 
 
+def _opnorm_by_eigvalsh(a):
+    top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def test_opnorm_closed_forms_match_eigvalsh():
+    rng = np.random.default_rng(11)
+    for n in (1, 2):
+        rand = rng.standard_normal((500, 3, n, n))
+        rank_one = np.einsum("kp,kq->kpq", rng.standard_normal((200, n)),
+                             rng.standard_normal((200, n)))
+        # singular values 1 and 1e-12 under random rotations
+        q1, _ = np.linalg.qr(rng.standard_normal((200, n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((200, n, n)))
+        ill = q1 @ (np.eye(n) * np.r_[1.0, 1e-12][:n]) @ q2
+        for stack in (rand, rank_one, ill, 1e-80 * rand, 1e80 * rand):
+            want = _opnorm_by_eigvalsh(stack)
+            if n == 1:
+                assert np.array_equal(opnorm(stack), want)
+            else:
+                np.testing.assert_allclose(opnorm(stack), want, rtol=1e-12)
+        assert np.array_equal(opnorm(np.zeros((4, n, n))), np.zeros(4))
+    stack = rng.standard_normal((50, 3, 3))
+    assert np.array_equal(opnorm(stack), _opnorm_by_eigvalsh(stack))
+
+
 def test_sliver_cell_mass_is_exact():
     # rho = u^-gb + u^-gs next to kappa, gb = gs = 3/4: the first cell's
     # mass is the sum of w^(1 - g) / (1 - g), w its width.  Forming

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from scipy import stats
 
 from voltlift.discretize import build_component
 from voltlift.dynamics import NoisePlan, make_preset, simulate_lifted
-from voltlift.ergodics import (ergodic_decay, lift_independence_test,
-                               noise_floor, path_seminorm, run_ensemble,
+from voltlift.ergodics import (_spearman, ergodic_decay,
+                               lift_independence_test, noise_floor, path_seminorm, run_ensemble,
                                sliced_w1, stationarity_test, wasserstein1_1d)
 from voltlift.kernelbasis import make_expsum_basis
 
@@ -29,6 +31,26 @@ def test_w1_matches_scipy(a, b):
     got = wasserstein1_1d(np.array(a), np.array(b))
     want = stats.wasserstein_distance(a, b)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_spearman_matches_scipy_exactly():
+    rng = np.random.default_rng(5)
+    cases = [([1.0], [2.0]), ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+             ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])]
+    for _ in range(2000):
+        size = int(rng.integers(1, 13))
+        # few distinct values, so most samples carry ties
+        cases.append((rng.integers(0, 4, size) * 0.25,
+                      rng.integers(0, 4, size) * 0.5 + rng.random(size)
+                      * (rng.random() < 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        for x, y in cases:
+            want = stats.spearmanr(x, y)[0]
+            got = _spearman(x, y)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (x, y)
+    assert np.isnan(_spearman([1.0], [2.0]))
+    assert np.isnan(_spearman([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]))
 
 
 def test_w1_translation_identity():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma
 
 from voltlift.kernelbasis import (DIFFUSION, DRIFT, DensitySegment,
                                   LiftingBasis, basis_from_json,
@@ -104,6 +105,35 @@ def test_inf_support_and_compact_embedding():
     with_density = make_tempered_fractional_basis(0.5, 0.75, 3.0, 3.0)
     assert inf_support(with_density) == pytest.approx(3.0, abs=1e-6)
     assert not is_compact_embedding(with_density)
+
+
+def test_inf_support_evaluates_only_the_density():
+    def no_matrix(u):
+        raise AssertionError("inf_support evaluated a matrix weight")
+
+    seg = DensitySegment(lower=3.0, upper=None,
+                         rho=lambda u: np.exp(-np.asarray(u, float)),
+                         Mb=no_matrix, Ms=no_matrix)
+    basis = LiftingBasis(n=1, atoms=(), segments=(seg,))
+    assert inf_support(basis) == 3.0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.55, 0.75, 0.95])
+def test_tempered_fractional_constants_match_scipy_gamma(alpha):
+    # kappa_b = kappa_s = 1 gives one segment with rho(u = 1) = 2, where
+    # Mb = cb / 2 and Ms = cs / 2 exactly
+    alpha_s = alpha if alpha > 0.5 else 0.75
+    basis = make_tempered_fractional_basis(alpha, alpha_s, 1.0, 1.0)
+    seg, = basis.segments
+    for got, a in ((2.0 * seg.Mb(1.0)[0, 0], alpha),
+                   (2.0 * seg.Ms(1.0)[0, 0], alpha_s)):
+        assert got == pytest.approx(1.0 / (gamma(a) * gamma(1.0 - a)),
+                                    rel=1e-15)
+    for which, a in ((DRIFT, alpha), (DIFFUSION, alpha_s)):
+        for t in (0.01, 1.0, 7.5):
+            want = t ** (a - 1.0) * math.exp(-t) / gamma(a)
+            assert basis.closed_forms[which](t)[0, 0] == pytest.approx(
+                want, rel=1e-15)
 
 
 def test_merge_bases_adds_kernels():
