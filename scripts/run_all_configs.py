@@ -4,9 +4,10 @@ Usage: python scripts/run_all_configs.py [--out DIR] [--threads N]
 
 configs/ is found next to this script, so it runs from any directory.
 After each config's summary line the script prints one
-``<sha256>  <config>/<file>.csv`` line per CSV written, in sha256sum
-format relative to DIR: diff these lines between two commits (or check them
-with ``cd DIR && sha256sum -c``) to confirm byte-identical results.
+``<sha256>  <config>/<file>`` line per CSV and ``verdict.json`` written, in
+sha256sum format relative to DIR: diff these lines between two commits (or
+check them with ``cd DIR && sha256sum -c``) to confirm byte-identical
+results.
 """
 
 import argparse
@@ -41,9 +42,9 @@ def run_all(out_root, threads):
                  if k in ("passed", "max_rel_err", "r_hat", "w1",
                           "spearman", "margin", "kl_budget")}
         print(f"{cfg.stem:<20} {status:<8} {dt:6.1f}s  {brief}")
-        for csv in sorted(out.glob("*.csv")):
-            digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-            print(f"{digest}  {cfg.stem}/{csv.name}")
+        for f in sorted(out.glob("*.csv")) + sorted(out.glob("verdict.json")):
+            digest = hashlib.sha256(f.read_bytes()).hexdigest()
+            print(f"{digest}  {cfg.stem}/{f.name}")
         failures += rc != 0
     return failures
 

@@ -26,8 +26,9 @@ from .dynamics import (PRESETS, NoisePlan, make_plans, simulate_lifted,
 from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
                           inf_support, make_expsum_basis,
                           make_tempered_fractional_basis)
-from .weights import (build_phi_coupling, check_lyapunov_sufficient,
-                      compute_coupling_constants, find_certified_constants)
+from .weights import (build_phi_coupling, build_psi_lyapunov,
+                      check_lyapunov_sufficient, compute_coupling_constants,
+                      distance_dphipsi, find_certified_constants)
 
 
 class ConfigError(Exception):
@@ -267,33 +268,49 @@ def _simulate(cfg, basis, coeffs, out_dir, threads):
 
 
 def _coupling(cfg, basis, coeffs, out_dir, threads):
-    component = _component(cfg, basis)
     given = {k: v for k, v in cfg["coupling"].items() if v is not None}
     lam = given.pop("lam", None)
+    unpaired = sorted(given.keys() & {"delta", "L"})
+    if unpaired and "m" not in given:
+        raise ConfigError(" and ".join(f"coupling.{k}" for k in unpaired)
+                          + " need coupling.m: certification chooses m, "
+                          "delta and L together")
+    component = _component(cfg, basis)
     if "m" in given:
         consts = compute_coupling_constants(component, coeffs, **given)
     else:
-        consts = find_certified_constants(component, coeffs)
+        consts = find_certified_constants(component, coeffs, **given)
         if consts is None:
             raise ConfigError("no certified coupling constants found")
     lam = consts.lam if lam is None else lam
     table = build_phi_coupling(component, consts.m, consts.delta,
                                consts.L, min(consts.R, 1e300))
+    psi = build_psi_lyapunov(component, consts.m)
+    y1, y2 = _initial(cfg, component)
     plans = make_plans(cfg["rng"]["seed"], cfg["rng"]["trajectories"],
                        cfg["scheme"]["h"], cfg["scheme"]["T"], d=coeffs.d)
-    run = cpl.simulate_coupled_pair(component, coeffs, table, lam,
-                                    *_initial(cfg, component), plans)
+    run = cpl.simulate_coupled_pair(component, coeffs, table, lam, y1, y2,
+                                    plans)
     rep = cpl.contraction_report(run, inf_support(basis), lam=lam,
                                  c_ue=coeffs.C_UE or 1.0)
     rows = [(component.size, float(t), float(rep.mean_dist[i]),
              float(rep.stderr_dist[i]), float(rep.envelope[i]))
             for i, t in enumerate(run.times)]
+    # d_{Phi,Psi} at both ends of the horizon: its ratio is the Harris
+    # contraction factor the coupling achieves by time T
+    d0 = float(distance_dphipsi(y1, y2, component, table, psi))
+    d_end = distance_dphipsi(run.y_final, run.yh_final, component, table, psi)
+    d_mean = float(d_end.mean())
+    d_se = (float(d_end.std(ddof=1) / np.sqrt(d_end.size)) if d_end.size > 1
+            else 0.0)
     return rows, dict(epsilon=consts.epsilon, certified=consts.certified,
                       lam=lam, r_hat=rep.r_hat,
                       bounds={"contraction": rep.contraction_ok,
                               "kl": rep.kl_ok},
                       kl_energy=rep.mean_energy_final,
-                      kl_budget=rep.kl_budget)
+                      kl_budget=rep.kl_budget,
+                      d_phipsi={"t0": d0, "T": d_mean, "T_stderr": d_se,
+                                "ratio": d_mean / d0 if d0 > 0.0 else None})
 
 
 def _ergodic(cfg, basis, coeffs, out_dir, threads):

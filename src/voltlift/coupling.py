@@ -22,6 +22,8 @@ class CoupledRun:
     dist_phi: np.ndarray     # (M+1,) or (M+1, n_traj)
     energy: np.ndarray       # same shape; E(t) = 1/2 int |u|^2
     control: np.ndarray      # (M+1, ..., d) control vector per time
+    y_final: np.ndarray      # (n_traj, I, n) Y_T, the uncontrolled copy
+    yh_final: np.ndarray     # (n_traj, I, n) Yhat_T, the controlled copy
 
 
 def _coupled_step(component, coeffs, table, lam, y, yh, x, xh, v, dw, decay,
@@ -61,7 +63,7 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     dist = np.empty((m + 1, n_traj))
     energy = np.empty((m + 1, n_traj))
     control = np.empty((m + 1, n_traj, coeffs.d))
-    dist[0], _ = weighted_norms(component, table, y - yh)
+    dist[0] = weighted_norms(component, table, y - yh)
     v = mu_sigma_phi(component, table, y - yh)
     control[0] = _control(coeffs, xh, v, lam)
     energy[0] = 0.0
@@ -72,10 +74,10 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
         y, yh, x, xh, v = _coupled_step(component, coeffs, table, lam, y, yh,
                                         x, xh, v, dw, decay, phi)
         _check_finite("coupled", step, plans, y, yh)
-        dist[step], _ = weighted_norms(component, table, y - yh)
+        dist[step] = weighted_norms(component, table, y - yh)
         control[step] = _control(coeffs, xh, v, lam)
     return CoupledRun(times=times, dist_phi=dist, energy=energy,
-                      control=control)
+                      control=control, y_final=y, yh_final=yh)
 
 
 @dataclass(frozen=True)

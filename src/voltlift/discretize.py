@@ -1,9 +1,7 @@
 """Finite approximating components of a lifting basis.
 
 A component is a finite family of cells (interval or atom), each carrying a
-node a_i, a mass w_i = mu(cell), mu-averaged matrices, and the two norm
-weights hH_i, hV_i used by the embedding of finite states into the lifted
-space.
+node a_i, a mass w_i = mu(cell) and mu-averaged matrices.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ class ApproximatingComponent:
     w: np.ndarray        # (I,) cell masses, > 0
     Mb: np.ndarray       # (I, n, n)
     Ms: np.ndarray       # (I, n, n)
-    hH: np.ndarray       # (I,)  integral of (1+theta)^(-1/2) over the cell
-    hV: np.ndarray       # (I,)  integral of (1+theta)^(+1/2) over the cell
     lo: np.ndarray       # (I,) cell lower bounds (== hi for atoms)
     hi: np.ndarray
     is_atom: np.ndarray  # (I,) bool
@@ -41,17 +37,16 @@ class ApproximatingComponent:
 
 
 def _cell_quads(seg, lo, hi):
-    """Mean nodes, masses, averaged matrices and norm weights of the cells
-    (lo, hi) of a segment (theta arrays)."""
+    """Mean nodes, masses and averaged matrices of the cells (lo, hi) of a
+    segment (theta arrays)."""
     th, w, mb, ms = segment_nodes(seg, lo - seg.lower, hi - seg.lower)
     mass = w.sum(axis=-1)
-    m1, hH, hV = np.einsum("ik,fik->fi", w,
-                           [th, (1 + th) ** -0.5, (1 + th) ** 0.5])
+    m1 = np.einsum("ik,ik->i", w, th)
     mb = np.einsum("ik,ikpq->ipq", w, mb)
     ms = np.einsum("ik,ikpq->ipq", w, ms)
     safe = np.where(mass > 0.0, mass, 1.0)[:, None, None]  # 0: cell dropped
     node = np.clip(m1 / safe[:, 0, 0], lo, hi)
-    return node, mass, mb / safe, ms / safe, hH, hV
+    return node, mass, mb / safe, ms / safe
 
 
 def _segment_edges(lo, hi, m, f0=FIRST_CELL_FRACTION):
@@ -84,8 +79,7 @@ def build_component(basis, node_count, theta_max="auto"):
         raise ValueError("node_count smaller than the number of atoms kept")
 
     # one row per cell, in the field order of ApproximatingComponent
-    rows = [(a.theta, a.mass, a.Mb, a.Ms, a.mass * (1 + a.theta) ** -0.5,
-             a.mass * (1 + a.theta) ** 0.5, a.theta, a.theta, True, -1)
+    rows = [(a.theta, a.mass, a.Mb, a.Ms, a.theta, a.theta, True, -1)
             for a in atoms]
 
     clipped = []
@@ -200,16 +194,3 @@ def reconstructed_kernel(component, which, t):
         raise ValueError(f"unknown kernel tag {which!r}")
     damp = component.w * np.exp(-component.a * t)
     return np.einsum("i,ipq->pq", damp, mats)
-
-
-def observe(component, z):
-    """(X, normH, normV) of a finite state z with shape (..., I, n)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-2] != component.size or z.shape[-1] != component.n:
-        raise ValueError("state shape does not match the component")
-    x = np.einsum("i,...ip->...p", component.w, z)
-    sq = np.einsum("...ip,...ip->...i", z, z)
-    nh = np.sqrt(np.einsum("i,...i->...", component.hH, sq))
-    nv = np.sqrt(np.einsum("i,...i->...", component.hV, sq))
-    return x, nh, nv
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,39 +32,6 @@ class CoefficientModel:
     p: float | None = None         # |sigma(x)| <= C_ssub (1 + |x|^p)
     C_ssub: float | None = None
     C_UE: float | None = None      # sigma sigma^T >= I / C_UE
-
-
-def spot_check_coefficients(coeffs, seed=0, samples=1000, radius=5.0):
-    """Sample random point pairs and verify the declared metadata bounds.
-
-    Returns a dict of booleans; caller decides whether a failure is fatal.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-radius, radius, size=(samples, coeffs.n))
-    y = rng.uniform(-radius, radius, size=(samples, coeffs.n))
-    out = {}
-    bx, by = coeffs.b(x), coeffs.b(y)
-    sx, sy = coeffs.sigma(x), coeffs.sigma(y)
-    gap = np.linalg.norm(x - y, axis=-1) + 1e-300
-    if coeffs.C_bLip is not None:
-        out["b_lipschitz"] = bool(np.all(
-            np.linalg.norm(bx - by, axis=-1) <= coeffs.C_bLip * gap * (1 + 1e-9)))
-    if coeffs.C_sLip is not None:
-        dn = np.linalg.norm((sx - sy).reshape(samples, -1), axis=-1)
-        out["sigma_lipschitz"] = bool(np.all(dn <= coeffs.C_sLip * gap * (1 + 1e-9)))
-    if coeffs.gamma is not None and coeffs.C_bLG is not None:
-        lhs = np.einsum("sp,sp->s", bx, x)
-        rhs = coeffs.gamma * np.einsum("sp,sp->s", x, x) + coeffs.C_bLG
-        out["b_coercive"] = bool(np.all(lhs <= rhs * (1 + 1e-9) + 1e-9))
-    if coeffs.p is not None and coeffs.C_ssub is not None:
-        sn = np.linalg.norm(sx.reshape(samples, -1), axis=-1)
-        bound = coeffs.C_ssub * (1 + np.linalg.norm(x, axis=-1) ** coeffs.p)
-        out["sigma_sublinear"] = bool(np.all(sn <= bound * (1 + 1e-9)))
-    if coeffs.C_UE is not None:
-        gram = np.einsum("spd,sqd->spq", sx, sx)
-        eig = np.linalg.eigvalsh(gram)[:, 0]
-        out["uniform_ellipticity"] = bool(np.all(eig >= 1.0 / coeffs.C_UE - 1e-9))
-    return out
 
 
 def truncate_coefficients(coeffs, radius):
@@ -221,15 +189,16 @@ def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
             np.stack([rec[s] for s in rec_steps]), z)
 
 
-def forcing_term(component, z0, t):
-    """x_k(t) = sum exp(-a_i t) w_i z0_i (exact)."""
-    z0 = np.asarray(z0, dtype=float).reshape(component.size, component.n)
-    damp = component.w * np.exp(-component.a * t)
-    return np.einsum("i,ip->p", damp, z0)
+@cache
+def _gauss_legendre(order):
+    """Nodes and weights on (-1, 1), built once per order on first use, so
+    that a run which never calls the direct scheme never loads
+    numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _gauss_legendre_integral(f, lo, hi, order=12):
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = _gauss_legendre(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return half * sum(w * f(mid + half * s) for s, w in zip(nodes, wts))
 

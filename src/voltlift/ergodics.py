@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import build_component, epsilon_k, observe
+from .discretize import build_component, epsilon_k
 from .dynamics import make_plans, simulate_lifted_ensemble
 from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
@@ -295,15 +295,3 @@ def _spearman(x, y):
              for v in (x, y)]
     return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
-
-def path_seminorm(component, path, T):
-    """Discrete (sup-H, integrated-V) path seminorm over [0, T]."""
-    if T > path.times[-1] + 1e-12:
-        raise ValueError("horizon exceeds the recorded path")
-    mask = path.times <= T + 1e-12
-    _, nh, nv = observe(component, path.states[mask])
-    h = path.times[1] - path.times[0] if path.times.size > 1 else 0.0
-    # left-point rule: the final state is not charged to the V integral
-    sup_h = float(np.max(nh))
-    int_v = float(np.sum(nv[:-1] ** 2) * h)
-    return float(np.sqrt(sup_h ** 2 + int_v))

@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .quad import diverges_at_lower, nodes, opnorm
+from .quad import nodes
 
 DRIFT = "drift"
 DIFFUSION = "diffusion"
@@ -216,12 +215,6 @@ def segment_nodes(seg, lo, hi):
     return seg.lower + u, w * seg.rho(u), mats(seg.Mb), mats(seg.Ms)
 
 
-def _segment_integral(seg, f, lo, hi):
-    """Integrals of f(theta, Mb, Ms) rho over the offset intervals (lo, hi)."""
-    th, w, mb, ms = segment_nodes(seg, lo, hi)
-    return np.sum(w * f(th, mb, ms), axis=-1)
-
-
 def eval_kernel(basis, which, t):
     """K(t) = sum over atoms + density integral of exp(-theta t) M(theta)."""
     if t <= 0.0:
@@ -239,63 +232,6 @@ def eval_kernel(basis, which, t):
     return out
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    I_mu: float
-    I_b: float
-    I_sigma: float
-    diverges_mu: bool
-    diverges_b: bool
-    diverges_sigma: bool
-
-    @property
-    def all_finite(self):
-        return not (self.diverges_mu or self.diverges_b or self.diverges_sigma)
-
-
-def _measure_integral(basis, f):
-    """Integral of f(theta, Mb, Ms) against mu, with a divergence flag."""
-    total = 0.0
-    diverges = False
-    for a in basis.atoms:
-        v = f(a.theta, a.Mb, a.Ms)
-        if not np.isfinite(v):
-            diverges = True
-        else:
-            total += a.mass * v
-    for seg in basis.segments:
-        if diverges_at_lower(partial(_segment_integral, seg, f), seg.span):
-            diverges = True
-            continue
-        v = _segment_integral(seg, f, 0.0, seg.span)[0]
-        if not np.isfinite(v):
-            diverges = True
-        else:
-            total += v
-    return total, diverges
-
-
-def validate_basis(basis):
-    """Report the three integrability integrals; divergence is an outcome."""
-    def f_mu(th, mb, ms):
-        return (1.0 + th) ** -0.5
-
-    def f_b(th, mb, ms):
-        return (1.0 + th) ** -1.5 * opnorm(mb) ** 2
-
-    def f_s(th, mb, ms):
-        return (1.0 + th) ** -0.5 * opnorm(ms) ** 2
-
-    i_mu, d_mu = _measure_integral(basis, f_mu)
-    i_b, d_b = _measure_integral(basis, f_b)
-    i_s, d_s = _measure_integral(basis, f_s)
-    return IntegrabilityReport(i_mu, i_b, i_s, d_mu, d_b, d_s)
-
-
-def _density(th, mb, ms):
-    return 1.0
-
-
 def _segment_mass(seg):
     # removability probe only; truncate infinite tails (raw segment mass may
     # be infinite for heavy-tailed densities, which still means "not removable")
@@ -310,27 +246,6 @@ def inf_support(basis):
     if not lows:
         raise ValueError("empty basis has no support")
     return min(lows)
-
-
-def is_compact_embedding(basis):
-    """True iff mu is purely atomic (zero-mass segments are removable)."""
-    return not any(
-        diverges_at_lower(partial(_segment_integral, seg, _density), seg.span)
-        or _segment_mass(seg) > 0.0 for seg in basis.segments)
-
-
-def merge_bases(a, b):
-    """Union of atom and segment lists (linear combination of liftable pairs).
-
-    No simplification of redundant representations is attempted.
-    """
-    if a.n != b.n:
-        raise ValueError("state dimensions differ")
-    thetas = [x.theta for x in a.atoms] + [x.theta for x in b.atoms]
-    if len(set(thetas)) != len(thetas):
-        raise ValueError("merged bases would duplicate an atom location")
-    return LiftingBasis(n=a.n, atoms=a.atoms + b.atoms,
-                        segments=a.segments + b.segments, closed_forms={})
 
 
 # -- serialization ----------------------------------------------------------

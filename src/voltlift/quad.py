@@ -50,6 +50,8 @@ def integrate_density(f, lower, upper, tol=1e-10):
     return val
 
 
+# No caller in the package: kept only while perfbench/tracer.py wraps it by
+# name, and deleted with that span.
 def diverges_at_lower(integral, span, depth=PROBE_DEPTH):
     """Heuristic divergence flag for a suspected lower-endpoint singularity.
 

@@ -29,11 +29,19 @@ class WeightTable:
         return self.Phi.shape[0]
 
 
+def _sym_eigvalsh(mat):
+    """Whether a matrix (or each matrix of a stack) is symmetric to SYM_TOL,
+    and the ascending eigenvalues of its symmetric part."""
+    tr = np.swapaxes(mat, -1, -2)
+    size = np.maximum(np.linalg.norm(mat, axis=(-2, -1)), 1e-300)
+    sym = np.linalg.norm(mat - tr, axis=(-2, -1)) <= SYM_TOL * size
+    return sym, np.linalg.eigvalsh(0.5 * (mat + tr))
+
+
 def _assert_spd(mat, where):
-    sym_gap = np.linalg.norm(mat - mat.T)
-    if sym_gap > SYM_TOL * max(np.linalg.norm(mat), 1e-300):
+    sym, vals = _sym_eigvalsh(mat)
+    if not sym:
         raise ValueError(f"{where}: matrix not symmetric")
-    vals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     if vals[0] <= 0.0:
         raise ValueError(f"{where}: matrix not positive definite")
     if vals[-1] / vals[0] > COND_GUARD:
@@ -50,23 +58,9 @@ def _finish_table(component, mats, tag):
     return WeightTable(Phi=np.stack(mats), tag=tag, C_phi=c_phi)
 
 
-def build_phi0(component):
-    """Phi_0(theta) = (1 + theta)^(-1/2) I: reproduces the H and V norms."""
-    eye = np.eye(component.n)
-    mats = [(1.0 + a) ** -0.5 * eye for a in component.a]
-    return _finish_table(component, mats, "phi0")
-
-
 def build_custom(component, mats, tag="custom"):
     return _finish_table(component, [np.atleast_2d(np.asarray(m, float))
                                      for m in mats], tag)
-
-
-def _sym_pd(mat):
-    if np.linalg.norm(mat - mat.T) > SYM_TOL * max(np.linalg.norm(mat), 1e-300):
-        return False, None
-    vals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    return bool(vals[0] > 0.0), vals
 
 
 def build_phi_coupling(component, m, delta, L, R):
@@ -86,7 +80,8 @@ def build_phi_coupling(component, m, delta, L, R):
         if theta >= m:
             mats.append(m ** 0.5 * theta ** -0.5 * eye)
             continue
-        spd, vals = _sym_pd(ms)
+        sym, vals = _sym_eigvalsh(ms)
+        spd = sym and vals[0] > 0.0
         in_bR = spd and vals[-1] <= R
         in_aL = spd and 1.0 / vals[0] <= L
         if in_aL and in_bR:
@@ -111,9 +106,7 @@ def build_psi_lyapunov(component, m):
     for i in range(component.size):
         theta = component.a[i]
         mb = component.Mb[i]
-        sym = np.linalg.norm(mb - mb.T) <= SYM_TOL * max(np.linalg.norm(mb),
-                                                         1e-300)
-        vals = np.linalg.eigvalsh(0.5 * (mb + mb.T)) if sym else None
+        sym, vals = _sym_eigvalsh(mb)
         in_am = (theta < m and sym and vals[0] >= 0.0 and vals[-1] <= m)
         if in_am:
             mats.append(np.linalg.inv(theta ** 0.5 / m * eye + mb))
@@ -123,45 +116,30 @@ def build_psi_lyapunov(component, m):
 
 
 def weighted_norms(component, table, z):
-    """(normPhi, seminormPhi) of z with shape (..., I, n)."""
+    """Phi-weighted norm of z with shape (..., I, n)."""
     z = np.asarray(z, dtype=float)
     if z.shape[-2] != component.size or z.shape[-1] != component.n:
         raise ValueError("state shape does not match the component")
     quad = np.einsum("...ip,ipq,...iq->...i", z, table.Phi, z)
-    norm = np.sqrt(np.einsum("i,...i->...", component.w, quad))
-    semi = np.sqrt(np.einsum("i,...i->...", component.w * component.a, quad))
-    return norm, semi
-
-
-def weighted_functionals(component, table, z):
-    """(mu_bPhi, mu_sPhi, Q_sPhi) of z with shape (..., I, n)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-2] != component.size or z.shape[-1] != component.n:
-        raise ValueError("state shape does not match the component")
-    phi_z = np.einsum("ipq,...iq->...ip", table.Phi, z)
-    mu_b = np.einsum("i,iqp,...iq->...p", component.w, component.Mb, phi_z)
-    mu_s = np.einsum("i,iqp,...iq->...p", component.w, component.Ms, phi_z)
-    q_s = np.einsum("i,iqp,iqr,irs->ps", component.w, component.Ms,
-                    table.Phi, component.Ms)
-    return mu_b, mu_s, q_s
+    return np.sqrt(np.einsum("i,...i->...", component.w, quad))
 
 
 def mu_sigma_phi(component, table, z):
-    """Just mu_{sigma,Phi}[z], batched; used in the coupling inner loop."""
+    """mu_{sigma,Phi}[z], batched; used in the coupling inner loop."""
     phi_z = np.einsum("ipq,...iq->...ip", table.Phi, z)
     return np.einsum("i,iqp,...iq->...p", component.w, component.Ms, phi_z)
 
 
 def distance_dphi(z1, z2, component, phi_table):
-    norm, _ = weighted_norms(component, phi_table,
-                             np.asarray(z1, float) - np.asarray(z2, float))
+    norm = weighted_norms(component, phi_table,
+                          np.asarray(z1, float) - np.asarray(z2, float))
     return np.minimum(norm, 1.0)
 
 
 def distance_dphipsi(z1, z2, component, phi_table, psi_table):
     d = distance_dphi(z1, z2, component, phi_table)
-    n1, _ = weighted_norms(component, psi_table, z1)
-    n2, _ = weighted_norms(component, psi_table, z2)
+    n1 = weighted_norms(component, psi_table, z1)
+    n2 = weighted_norms(component, psi_table, z2)
     return np.sqrt(d * (1.0 + n1 ** 2 + n2 ** 2))
 
 
@@ -193,8 +171,8 @@ def _cell_sets(component, L, R, m):
     for i in range(component.size):
         ms = component.Ms[i]
         ms_op[i] = opnorm(ms)
-        spd, vals = _sym_pd(ms)
-        if spd:
+        sym, vals = _sym_eigvalsh(ms)
+        if sym and vals[0] > 0.0:
             in_aL[i] = 1.0 / vals[0] <= L
             in_bR[i] = vals[-1] <= R
     return in_aL, in_bR, ms_op
@@ -261,11 +239,8 @@ class LyapunovReport:
 def _sym_nnd(mat):
     """Every matrix of a stack (or one matrix) symmetric and nonnegative
     definite."""
-    tr = np.swapaxes(mat, -1, -2)
-    size = np.maximum(np.linalg.norm(mat, axis=(-2, -1)), 1e-300)
-    sym = np.linalg.norm(mat - tr, axis=(-2, -1)) <= SYM_TOL * size
-    low = np.linalg.eigvalsh(0.5 * (mat + tr))[..., 0]
-    return bool(np.all(sym & (low >= -1e-12)))
+    sym, vals = _sym_eigvalsh(mat)
+    return bool(np.all(sym & (vals[..., 0] >= -1e-12)))
 
 
 def check_lyapunov_sufficient(basis, coeffs):

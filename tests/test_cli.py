@@ -227,6 +227,11 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
                                    "n": 1}}, "c must", 2, 2),
     # no t_grid entry in (0, scheme.T], which the runner checks
     ("ergodic", {"t_grid": [5.0]}, "t_grid", 0, 2),
+    # certification chooses m, delta and L together
+    ("coupling", {"coupling": {"delta": 5.0}, "coefficients": TANH},
+     "coupling.delta", 0, 2),
+    ("coupling", {"coupling": {"L": 0.01}, "coefficients": TANH},
+     "coupling.L", 0, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
@@ -241,6 +246,19 @@ def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
         assert "Traceback" not in err
         if rc == 2:
             assert key in err, (command, err)
+
+
+def test_coupling_R_reaches_certification(tmp_path, capsys):
+    # the atom's M_sigma = 1 lies in B_R for R = 1 but not for R = 0.5, and
+    # the constants certify only when it does
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="coupling", coefficients=TANH)
+    doc["rng"]["trajectories"] = 4
+    for R, rc in ((1.0, 0), (0.5, 2)):
+        doc["coupling"] = {"R": R}
+        cfg = write_config(tmp_path, "cfg.json", doc)
+        assert main(["run", "--config", cfg]) == rc, R
+    assert "no certified coupling constants" in capsys.readouterr().err
 
 
 def test_resolved_config_holds_only_the_keys_read(tmp_path):

@@ -1,13 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from voltlift.cli import _build_inputs, main, resolve_config
 from voltlift.coupling import contraction_report, simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift.dynamics import CoefficientModel, make_plans, make_preset
 from voltlift.kernelbasis import make_expsum_basis
-from voltlift.weights import build_custom, build_phi_coupling
+from voltlift.weights import (build_custom, build_phi_coupling,
+                              build_psi_lyapunov, distance_dphipsi,
+                              find_certified_constants)
 
 EYE = np.eye(1)
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "coupling.json"
 
 
 def atom_setup():
@@ -108,3 +115,53 @@ def test_kl_budget_arithmetic():
     assert rep.kl_budget == pytest.approx(0.5 * lam * d0 ** 2, rel=1e-12)
     assert isinstance(rep.kl_ok, bool)
     assert rep.mean_energy_final >= 0.0
+
+
+def test_verdict_d_phipsi_matches_a_direct_coupled_run(tmp_path):
+    assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "verdict.json").read_text())["d_phipsi"]
+    cfg = resolve_config(json.loads(CONFIG.read_text()))
+    bases, coeffs = _build_inputs(cfg)
+    d = cfg["discretization"]
+    comp = build_component(bases["basis"], d["k"], d["theta_max"])
+    consts = find_certified_constants(comp, coeffs)
+    phi = build_phi_coupling(comp, consts.m, consts.delta, consts.L, 1e300)
+    psi = build_psi_lyapunov(comp, consts.m)
+    y1 = np.full((comp.size, 1), cfg["initial"]["y1"])
+    y2 = np.full((comp.size, 1), cfg["initial"]["y2"])
+    plans = make_plans(cfg["rng"]["seed"], cfg["rng"]["trajectories"],
+                       cfg["scheme"]["h"], cfg["scheme"]["T"])
+    run = simulate_coupled_pair(comp, coeffs, phi, consts.lam, y1, y2, plans)
+    d_end = distance_dphipsi(run.y_final, run.yh_final, comp, phi, psi)
+    assert got["t0"] == distance_dphipsi(y1, y2, comp, phi, psi)
+    assert got["T"] == d_end.mean()
+    assert got["T_stderr"] == pytest.approx(
+        d_end.std(ddof=1) / np.sqrt(d_end.size), rel=1e-12)
+    assert got["ratio"] == got["T"] / got["t0"]
+    assert got["ratio"] < 1.0
+
+
+def test_final_states_are_the_last_step():
+    comp = atom_setup()
+    coeffs = make_preset("tanh", scale=0.2, sigma0=1.0)
+    table = build_custom(comp, [EYE])
+    plans = make_plans(4, 3, 1e-2, 0.5, d=1)
+    run = simulate_coupled_pair(comp, coeffs, table, 1.0,
+                                np.full((1, 1), 0.4), np.zeros((1, 1)), plans)
+    assert run.y_final.shape == run.yh_final.shape == (3, 1, 1)
+    # the last recorded distance is the weighted norm of the final gap
+    np.testing.assert_allclose(
+        run.dist_phi[-1], np.abs(run.y_final - run.yh_final)[:, 0, 0],
+        rtol=1e-14)
+
+
+def test_verdict_ratio_is_null_at_zero_initial_distance(tmp_path):
+    doc = json.loads(CONFIG.read_text())
+    doc.update(initial={"y1": 0.5, "y2": 0.5}, scheme={"h": 0.01, "T": 0.5},
+               rng={"seed": 1, "trajectories": 4})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "verdict.json").read_text())["d_phipsi"]
+    assert got["t0"] == 0.0
+    assert got["ratio"] is None

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               _stacked_increments, forcing_term,
-                               make_plans, make_preset, preset_linear,
-                               simulate_lifted, simulate_lifted_ensemble,
+                               _stacked_increments, make_plans, make_preset,
+                               preset_linear, simulate_lifted,
+                               simulate_lifted_ensemble,
                                simulate_volterra_direct,
-                               spot_check_coefficients,
                                truncate_coefficients, volterra_weights)
 from voltlift.kernelbasis import make_expsum_basis
 
@@ -143,14 +142,6 @@ def test_nan_abort_names_trajectory():
     assert "trajectory 12" in str(err.value)
 
 
-def test_forcing_term():
-    basis = make_expsum_basis([(2.0, EYE, EYE)])
-    comp = build_component(basis, 1, theta_max=4.0)
-    z0 = np.array([[3.0]])
-    assert forcing_term(comp, z0, 1.5)[0] == pytest.approx(
-        3.0 * math.exp(-3.0), rel=1e-14)
-
-
 def test_volterra_weights_constant_kernel():
     kb, ks = volterra_weights(lambda t: EYE, lambda t: EYE, h=0.1, m=4)
     np.testing.assert_allclose(kb, np.full((4, 1, 1), 0.1), rtol=1e-10)
@@ -184,12 +175,50 @@ def test_direct_scheme_tracks_lifted_scheme():
     assert np.max(np.abs(lifted.observables - direct)) < 0.05
 
 
+def spot_check_coefficients(coeffs, seed=0, samples=1000, radius=5.0):
+    """Sample random point pairs and check each bound the metadata declares;
+    one flag per declared bound."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-radius, radius, size=(samples, coeffs.n))
+    y = rng.uniform(-radius, radius, size=(samples, coeffs.n))
+    out = {}
+    bx, by = coeffs.b(x), coeffs.b(y)
+    sx, sy = coeffs.sigma(x), coeffs.sigma(y)
+    gap = np.linalg.norm(x - y, axis=-1) + 1e-300
+    if coeffs.C_bLip is not None:
+        out["b_lipschitz"] = bool(np.all(np.linalg.norm(bx - by, axis=-1)
+                                         <= coeffs.C_bLip * gap * (1 + 1e-9)))
+    if coeffs.C_sLip is not None:
+        dn = np.linalg.norm((sx - sy).reshape(samples, -1), axis=-1)
+        out["sigma_lipschitz"] = bool(np.all(
+            dn <= coeffs.C_sLip * gap * (1 + 1e-9)))
+    if coeffs.gamma is not None and coeffs.C_bLG is not None:
+        lhs = np.einsum("sp,sp->s", bx, x)
+        rhs = coeffs.gamma * np.einsum("sp,sp->s", x, x) + coeffs.C_bLG
+        out["b_coercive"] = bool(np.all(lhs <= rhs * (1 + 1e-9) + 1e-9))
+    if coeffs.p is not None and coeffs.C_ssub is not None:
+        sn = np.linalg.norm(sx.reshape(samples, -1), axis=-1)
+        bound = coeffs.C_ssub * (1 + np.linalg.norm(x, axis=-1) ** coeffs.p)
+        out["sigma_sublinear"] = bool(np.all(sn <= bound * (1 + 1e-9)))
+    if coeffs.C_UE is not None:
+        gram = np.einsum("spd,sqd->spq", sx, sx)
+        eig = np.linalg.eigvalsh(gram)[:, 0]
+        out["uniform_ellipticity"] = bool(np.all(
+            eig >= 1.0 / coeffs.C_UE - 1e-9))
+    return out
+
+
 def test_presets_pass_spot_checks():
+    flags = {}
     for name, kwargs in (("linear", dict(beta=1.0, c=0.5)),
                          ("tanh", dict(scale=2.0)),
                          ("double_well", dict(sigma0=0.7))):
         coeffs = make_preset(name, **kwargs)
-        spot_check_coefficients(coeffs)
+        flags.update({(name, k): v for k, v in
+                      spot_check_coefficients(coeffs).items()})
+    # double_well declares no drift Lipschitz constant
+    assert len(flags) == 14
+    assert all(flags.values()), [k for k, v in flags.items() if not v]
 
 
 def test_unknown_preset_rejected():

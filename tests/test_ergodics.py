@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from voltlift.discretize import build_component
-from voltlift.dynamics import NoisePlan, make_preset, simulate_lifted
+from voltlift.dynamics import make_preset
 from voltlift.ergodics import (_spearman, ergodic_decay,
-                               lift_independence_test, noise_floor, path_seminorm, run_ensemble,
-                               sliced_w1, stationarity_test, wasserstein1_1d)
+                               lift_independence_test, noise_floor,
+                               run_ensemble, sliced_w1, stationarity_test,
+                               wasserstein1_1d)
 from voltlift.kernelbasis import make_expsum_basis
 
 EYE = np.eye(1)
@@ -182,17 +183,3 @@ def test_lift_independence_rejects_mismatched_kernels():
     with pytest.raises(ValueError, match="different"):
         lift_independence_test(a, b, coeffs, T=1.0, n_traj=8)
 
-
-def test_path_seminorm_constant_path():
-    comp, coeffs = ou_setup()
-    h, T = 0.1, 0.3
-    times = np.arange(4) * h
-    states = np.broadcast_to(np.full((1, 1), 2.0), (4, 1, 1))
-    from voltlift.dynamics import LiftedPath
-    path = LiftedPath(times=times, states=states,
-                      observables=np.full((4, 1), 2.0))
-    # sup-H norm^2 = 4 / sqrt(2); integral of V norm^2 = 3 h * 4 sqrt(2)
-    want = np.sqrt(4.0 / np.sqrt(2.0) + 3 * h * 4.0 * np.sqrt(2.0))
-    assert path_seminorm(comp, path, T) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        path_seminorm(comp, path, T=5.0)

@@ -10,10 +10,8 @@ from scipy.special import gamma
 from voltlift.kernelbasis import (DIFFUSION, DRIFT, DensitySegment,
                                   LiftingBasis, basis_from_json,
                                   basis_to_json, eval_kernel, inf_support,
-                                  is_compact_embedding, make_expsum_basis,
-                                  make_table_segment,
-                                  make_tempered_fractional_basis, merge_bases,
-                                  validate_basis)
+                                  make_expsum_basis, make_table_segment,
+                                  make_tempered_fractional_basis)
 
 EYE = np.eye(1)
 
@@ -77,34 +75,11 @@ def test_tempered_fractional_rejects_out_of_range_exponents():
         make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0, gamma_s=0.49)
 
 
-def test_validate_basis_finite_for_valid_inputs():
-    rep = validate_basis(make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0))
-    assert rep.all_finite
-    assert rep.I_mu > 0 and rep.I_b > 0 and rep.I_sigma > 0
-    rep2 = validate_basis(make_expsum_basis([(2.0, EYE, EYE)]))
-    assert rep2.all_finite
-    assert rep2.I_mu == pytest.approx(3.0 ** -0.5, rel=1e-12)
-
-
-def test_validate_basis_flags_nonintegrable_density():
-    # rho ~ (theta - 1)^(-1.2) is not locally integrable at the endpoint
-    seg = DensitySegment(lower=1.0, upper=None,
-                         rho=lambda u: u ** -1.2,
-                         Mb=lambda t: EYE, Ms=lambda t: EYE,
-                         family="table", params={})
-    basis = LiftingBasis(n=1, atoms=[], segments=[seg], closed_forms={})
-    rep = validate_basis(basis)
-    assert rep.diverges_mu
-    assert not rep.all_finite
-
-
 def test_inf_support_and_compact_embedding():
     atoms_only = make_expsum_basis([(2.0, EYE, EYE), (5.0, EYE, EYE)])
     assert inf_support(atoms_only) == pytest.approx(2.0)
-    assert is_compact_embedding(atoms_only)
     with_density = make_tempered_fractional_basis(0.5, 0.75, 3.0, 3.0)
     assert inf_support(with_density) == pytest.approx(3.0, abs=1e-6)
-    assert not is_compact_embedding(with_density)
 
 
 def test_inf_support_evaluates_only_the_density():
@@ -136,20 +111,15 @@ def test_tempered_fractional_constants_match_scipy_gamma(alpha):
                 want, rel=1e-15)
 
 
-def test_merge_bases_adds_kernels():
-    a = make_expsum_basis([(1.0, EYE, EYE)])
-    b = make_expsum_basis([(4.0, 2.0 * EYE, EYE)])
-    merged = merge_bases(a, b)
-    for t in (0.05, 0.5, 2.0):
-        want = eval_kernel(a, DRIFT, t) + eval_kernel(b, DRIFT, t)
-        assert eval_kernel(merged, DRIFT, t)[0, 0] == pytest.approx(
-            want[0, 0], rel=1e-12)
-
-
 def test_json_round_trip_atoms_and_tempered_fractional():
-    basis = merge_bases(
-        make_expsum_basis([(2.5, 1.5 * EYE, 0.5 * EYE)]),
-        make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0))
+    atom = make_expsum_basis([(2.5, 1.5 * EYE, 0.5 * EYE)])
+    frac = make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0)
+    basis = LiftingBasis(n=1, atoms=atom.atoms, segments=frac.segments)
+    for which in (DRIFT, DIFFUSION):
+        for t in (0.05, 0.5, 2.0):  # the kernel of a union is the sum
+            want = eval_kernel(atom, which, t) + eval_kernel(frac, which, t)
+            assert eval_kernel(basis, which, t)[0, 0] == pytest.approx(
+                want[0, 0], rel=1e-12)
     doc = basis_to_json(basis)
     back = basis_from_json(doc)
     assert back.n == basis.n
@@ -179,12 +149,3 @@ def test_expsum_kernel_is_laplace_transform(rates, t):
     got = eval_kernel(basis, DIFFUSION, t)[0, 0]
     assert got == pytest.approx(sum(math.exp(-r * t) for r in rates),
                                 rel=1e-12)
-
-
-@settings(max_examples=15, deadline=None)
-@given(alpha_b=st.floats(0.3, 0.9), alpha_s=st.floats(0.55, 0.95),
-       kappa=st.floats(0.2, 4.0))
-def test_tempered_fractional_always_integrable(alpha_b, alpha_s, kappa):
-    basis = make_tempered_fractional_basis(alpha_b, alpha_s, kappa, kappa)
-    rep = validate_basis(basis)
-    assert rep.all_finite

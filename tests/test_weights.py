@@ -5,12 +5,11 @@ from voltlift.discretize import build_component
 from voltlift.dynamics import make_preset
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
-from voltlift.weights import (build_custom, build_phi0, build_phi_coupling,
+from voltlift.weights import (build_custom, build_phi_coupling,
                               build_psi_lyapunov, check_lyapunov_sufficient,
                               compute_coupling_constants, distance_dphi,
                               distance_dphipsi, find_certified_constants,
-                              mu_sigma_phi, weighted_functionals,
-                              weighted_norms)
+                              mu_sigma_phi, weighted_norms)
 
 EYE = np.eye(1)
 
@@ -19,13 +18,6 @@ def atom_component(rates=(1.0,), mb=1.0, ms=1.0):
     terms = [(r, mb * EYE, ms * EYE) for r in rates]
     basis = make_expsum_basis(terms)
     return build_component(basis, len(rates), theta_max=max(rates) + 1.0)
-
-
-def test_phi0_is_admissible_with_unit_constant():
-    comp = atom_component((0.5, 3.0, 12.0))
-    table = build_phi0(comp)
-    # (1+theta)^(-1/2) saturates both admissibility bounds exactly
-    assert table.C_phi == pytest.approx(1.0, rel=1e-12)
 
 
 def test_custom_identity_constant():
@@ -48,20 +40,12 @@ def test_weighted_norms_hand_computed():
     comp = atom_component((1.0, 3.0))
     table = build_custom(comp, [2.0 * EYE, 0.5 * EYE])
     z = np.array([[1.0], [2.0]])
-    norm, semi = weighted_norms(comp, table, z)
-    assert norm == pytest.approx(np.sqrt(2.0 + 2.0))
-    assert semi == pytest.approx(np.sqrt(1.0 * 2.0 + 3.0 * 2.0))
-
-
-def test_weighted_functionals_hand_computed():
+    assert weighted_norms(comp, table, z) == pytest.approx(np.sqrt(2.0 + 2.0))
     comp = atom_component((1.0, 4.0), mb=2.0, ms=3.0)
     table = build_custom(comp, [EYE, EYE])
-    z = np.array([[1.0], [1.0]])
-    mu_b, mu_s, q_s = weighted_functionals(comp, table, z)
-    assert mu_b[0] == pytest.approx(4.0)   # 2*1 + 2*1
-    assert mu_s[0] == pytest.approx(6.0)
-    assert q_s[0, 0] == pytest.approx(18.0)  # 9 + 9
-    np.testing.assert_allclose(mu_sigma_phi(comp, table, z), mu_s)
+    ones = np.array([[1.0], [1.0]])
+    # mu_{sigma,Phi}[z] = sum of w * Ms^T Phi z = 3*1 + 3*1
+    assert mu_sigma_phi(comp, table, ones)[0] == pytest.approx(6.0)
 
 
 def test_coupling_weight_four_branches():
@@ -136,7 +120,7 @@ def test_distance_dphipsi_at_origin():
     assert distance_dphipsi(z, z, comp, phi, psi) == pytest.approx(0.0)
     z1 = np.full((1, 1), 0.25)
     d = distance_dphi(z1, z, comp, phi)
-    n1 = weighted_norms(comp, psi, z1)[0]
+    n1 = weighted_norms(comp, psi, z1)
     want = np.sqrt(d * (1.0 + n1 ** 2))
     assert distance_dphipsi(z1, z, comp, phi, psi) == pytest.approx(
         float(want), rel=1e-12)
