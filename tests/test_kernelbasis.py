@@ -111,15 +111,29 @@ def test_tempered_fractional_constants_match_scipy_gamma(alpha):
                 want, rel=1e-15)
 
 
-def test_json_round_trip_atoms_and_tempered_fractional():
+def atoms_plus_tempered_fractional():
     atom = make_expsum_basis([(2.5, 1.5 * EYE, 0.5 * EYE)])
     frac = make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0)
-    basis = LiftingBasis(n=1, atoms=atom.atoms, segments=frac.segments)
-    for which in (DRIFT, DIFFUSION):
-        for t in (0.05, 0.5, 2.0):  # the kernel of a union is the sum
-            want = eval_kernel(atom, which, t) + eval_kernel(frac, which, t)
-            assert eval_kernel(basis, which, t)[0, 0] == pytest.approx(
-                want[0, 0], rel=1e-12)
+    union = LiftingBasis(n=1, atoms=atom.atoms, segments=frac.segments)
+    return atom, frac, union
+
+
+def test_merge_bases_adds_kernels():
+    a = make_expsum_basis([(1.0, EYE, EYE)])
+    b = make_expsum_basis([(4.0, 2.0 * EYE, EYE)])
+    pairs = [(a, b, LiftingBasis(n=1, atoms=a.atoms + b.atoms, segments=[])),
+             atoms_plus_tempered_fractional()]
+    for left, right, union in pairs:
+        for which in (DRIFT, DIFFUSION):
+            for t in (0.05, 0.5, 2.0):  # the kernel of a union is the sum
+                want = (eval_kernel(left, which, t)
+                        + eval_kernel(right, which, t))
+                assert eval_kernel(union, which, t)[0, 0] == pytest.approx(
+                    want[0, 0], rel=1e-12)
+
+
+def test_json_round_trip_atoms_and_tempered_fractional():
+    basis = atoms_plus_tempered_fractional()[2]
     doc = basis_to_json(basis)
     back = basis_from_json(doc)
     assert back.n == basis.n

@@ -41,11 +41,16 @@ def test_weighted_norms_hand_computed():
     table = build_custom(comp, [2.0 * EYE, 0.5 * EYE])
     z = np.array([[1.0], [2.0]])
     assert weighted_norms(comp, table, z) == pytest.approx(np.sqrt(2.0 + 2.0))
+
+
+def test_weighted_functionals_hand_computed():
     comp = atom_component((1.0, 4.0), mb=2.0, ms=3.0)
     table = build_custom(comp, [EYE, EYE])
     ones = np.array([[1.0], [1.0]])
     # mu_{sigma,Phi}[z] = sum of w * Ms^T Phi z = 3*1 + 3*1
     assert mu_sigma_phi(comp, table, ones)[0] == pytest.approx(6.0)
+    z = np.array([[1.0], [2.0]])
+    assert mu_sigma_phi(comp, table, z)[0] == pytest.approx(9.0)  # 3 + 3*2
 
 
 def test_coupling_weight_four_branches():
