@@ -92,7 +92,8 @@ def _resolve(key, value, default):
         return [_resolve(f"{key} entry", v, default[0]) for v in value]
     if key == "output_dir":
         expected, ok = "a string", isinstance(value, str)
-    elif key in ("scheme.h", "scheme.T", "t_grid entry"):
+    elif (key in ("scheme.h", "scheme.T", "t_grid entry")
+          or key.startswith("coupling.")):
         expected = "a finite positive number"
         ok = _is_number(value) and value > 0
     elif isinstance(default, int):  # k, seed, trajectories, ladder rungs

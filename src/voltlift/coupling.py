@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_check_finite, _initial_states, _stacked_increments,
-                       _step_factors, lifted_step)
+from .dynamics import (_batch, _by_trajectory, _check_finite,
+                       _initial_states, _stacked_increments, lifted_step,
+                       step_operators)
 from .weights import mu_sigma_phi, weighted_norms
 
 
@@ -26,58 +27,69 @@ class CoupledRun:
     yh_final: np.ndarray     # (n_traj, I, n) Yhat_T, the controlled copy
 
 
-def _coupled_step(component, coeffs, table, lam, y, yh, x, xh, v, dw, decay,
-                  phi):
-    """Advance both copies on the shared dw (the second with the control
-    drift lam * M_s v); return them and the new mu_{sigma,Phi}[y - yh]."""
-    y, x = lifted_step(component, coeffs, y, x, dw, decay, phi)
-    yh, xh = lifted_step(component, coeffs, yh, xh, dw, decay, phi,
-                         extra=lam * np.einsum("ipq,...q->...ip",
-                                               component.Ms, v))
-    return y, yh, x, xh, mu_sigma_phi(component, table, y - yh)
+def _coupled_step(component, coeffs, table, ops, y, yh, x, xh, v, dw):
+    """Advance both trajectory-last copies on the shared dw (the second with
+    the control drift lam * M_s v, the control block of ops.forcing); return
+    them and the new mu_{sigma,Phi}[y - yh], (n, n_traj)."""
+    y, x = lifted_step(ops, coeffs, y, x, dw)
+    yh, xh = lifted_step(ops, coeffs, yh, xh, dw, v)
+    return y, yh, x, xh, mu_sigma_phi(
+        component, table, _by_trajectory(component, y - yh)).T
 
 
 def _control(coeffs, xh, v, lam):
-    """u = lam * sigma(xh)^T (sigma sigma^T)^{-1} v, batched."""
-    s = coeffs.sigma(xh)
+    """u = lam * sigma(xh)^T (sigma sigma^T)^{-1} v for trajectory-last xh
+    and v, as (n_traj, d).  Nonzero 1x1 Gram matrices are divided by, which
+    gives the bits of np.linalg.solve without its per-call cost."""
+    s = coeffs.sigma(xh.T)
     gram = np.einsum("...pd,...qd->...pq", s, s)
-    try:
-        sol = np.linalg.solve(gram, v[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise FloatingPointError("singular diffusion Gram matrix: "
-                                 "ellipticity violated along the path") from exc
+    if gram.shape[-1] == 1 and np.all(gram):
+        sol = v.T / gram[..., 0]
+    else:
+        try:
+            sol = np.linalg.solve(gram, v.T[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(
+                "singular diffusion Gram matrix: ellipticity violated along "
+                "the path") from exc
     return lam * np.einsum("...pd,...p->...d", s, sol)
 
 
 def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     """Coupled ensemble from initial lifted states y1, y2 (shared by all
-    trajectories); plans is a list of NoisePlan with common (h, T)."""
+    trajectories); plans is a list of NoisePlan with common (h, T).  It runs
+    in the calling thread: see README, Determinism."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
     h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
-    y, x = _initial_states(component, y1, n_traj)
-    yh, xh = _initial_states(component, y2, n_traj)
-    decay, phi = _step_factors(component, h)
+    batch = _batch(plans)
+    ops = step_operators(component, h, lam)
+    y, x = _initial_states(ops, y1, len(batch))
+    yh, xh = _initial_states(ops, y2, len(batch))
 
     times = np.arange(m + 1) * h
     dist = np.empty((m + 1, n_traj))
     energy = np.empty((m + 1, n_traj))
     control = np.empty((m + 1, n_traj, coeffs.d))
-    dist[0] = weighted_norms(component, table, y - yh)
-    v = mu_sigma_phi(component, table, y - yh)
-    control[0] = _control(coeffs, xh, v, lam)
+    diff = _by_trajectory(component, y - yh)
+    dist[0] = weighted_norms(component, table, diff)[:n_traj]
+    v = mu_sigma_phi(component, table, diff).T
+    control[0] = _control(coeffs, xh, v, lam)[:n_traj]
     energy[0] = 0.0
-    for step, dw in enumerate(_stacked_increments(plans), start=1):
+    for step, dw in enumerate(_stacked_increments(batch), start=1):
         # left-point quadrature of the control energy
         energy[step] = energy[step - 1] + 0.5 * h * np.sum(
             control[step - 1] ** 2, axis=-1)
-        y, yh, x, xh, v = _coupled_step(component, coeffs, table, lam, y, yh,
-                                        x, xh, v, dw, decay, phi)
-        _check_finite("coupled", step, plans, y, yh)
-        dist[step] = weighted_norms(component, table, y - yh)
-        control[step] = _control(coeffs, xh, v, lam)
+        y, yh, x, xh, v = _coupled_step(component, coeffs, table, ops, y, yh,
+                                        x, xh, v, dw)
+        _check_finite("coupled", step, batch, y, yh)
+        dist[step] = weighted_norms(
+            component, table, _by_trajectory(component, y - yh))[:n_traj]
+        control[step] = _control(coeffs, xh, v, lam)[:n_traj]
     return CoupledRun(times=times, dist_phi=dist, energy=energy,
-                      control=control, y_final=y, yh_final=yh)
+                      control=control,
+                      y_final=_by_trajectory(component, y)[:n_traj].copy(),
+                      yh_final=_by_trajectory(component, yh)[:n_traj].copy())
 
 
 @dataclass(frozen=True)

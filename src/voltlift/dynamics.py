@@ -104,59 +104,99 @@ class LiftedPath:
     observables: np.ndarray  # (M+1, n)
 
 
-def _step_factors(component, h):
-    decay = np.exp(-component.a * h)
-    phi = np.where(component.a * h < DRIFT_FACTOR_CUTOFF,
-                   h, (1.0 - decay) / np.where(component.a == 0.0, 1.0,
-                                               component.a))
-    return decay, phi
+@dataclass(frozen=True)
+class StepOperators:
+    """The exponential-Euler step of one component at one step size h, as
+    operators on trajectory-last states z of shape (I*n, n_traj), row i*n+p
+    holding entry p of factor i."""
+    n: int
+    decay: np.ndarray    # (I*n, 1): exp(-a h), repeated over n
+    forcing: np.ndarray  # (k*n, I*n): [(lam phi M_s ;) phi M_b ; decay M_s]
+    w: np.ndarray        # (I,): x = sum_i w_i z_i
+
+    def observe(self, z):
+        return np.einsum("i,ipt->pt", self.w, z.reshape(len(self.w), self.n,
+                                                        -1))
 
 
-def lifted_step(component, coeffs, z, x, dw, decay, phi, extra=None):
-    """One exponential-Euler step, batched over leading axes of z.
+def step_operators(component, h, lam=None):
+    """Operators of the step; lam adds the coupling control's block, which
+    the controlled copy applies to v = mu_{sigma,Phi}[y - yh].  It comes
+    first, so that the noise is summed last: once y - yh falls below the
+    states' resolution, late in a coupled run, that order keeps more of
+    its bits."""
+    a, size, n = component.a, component.size, component.n
+    decay = np.exp(-a * h)
+    phi = np.where(a * h < DRIFT_FACTOR_CUTOFF,
+                   h, (1.0 - decay) / np.where(a == 0.0, 1.0, a))
+    blocks = [phi[:, None, None] * component.Mb,
+              decay[:, None, None] * component.Ms]
+    if lam is not None:
+        blocks.insert(0, lam * phi[:, None, None] * component.Ms)
+    # block[i, p, q] maps forcing entry q to state row i*n+p
+    forcing = np.concatenate([b.transpose(2, 0, 1).reshape(n, size * n)
+                              for b in blocks])
+    return StepOperators(n=n, decay=np.repeat(decay, n)[:, None],
+                         forcing=forcing, w=component.w)
 
-    z: (..., I, n); x: (..., n); dw: (..., d).  extra, shaped like z, is a
-    factor-space drift added to M_b b(x) (the coupling control).
-    """
-    bx = coeffs.b(x)
-    sx = coeffs.sigma(x)
-    noise_vec = np.einsum("...pd,...d->...p", sx, dw)
-    drift = np.einsum("ipq,...q->...ip", component.Mb, bx)
-    if extra is not None:
-        drift = drift + extra
-    kick = np.einsum("ipq,...q->...ip", component.Ms, noise_vec)
-    z = (decay[:, None] * z + phi[:, None] * drift + decay[:, None] * kick)
-    x = np.einsum("i,...ip->...p", component.w, z)
-    return z, x
+
+def lifted_step(ops, coeffs, z, x, dw, v=None):
+    """One exponential-Euler step of trajectory-last states: z (I*n, n_traj),
+    x (n, n_traj), dw (n_traj, d).  v (n, n_traj), the coupling control's
+    input, meets the control block of ops.forcing; without v the last two
+    blocks apply."""
+    xt = x.T
+    forcing = [coeffs.b(xt).T,
+               np.einsum("tpd,td->pt", coeffs.sigma(xt), dw)]
+    if v is not None:
+        forcing.insert(0, v)
+    forcing = np.concatenate(forcing)
+    z = ops.decay * z
+    z += np.einsum("kj,kt->jt", ops.forcing[-len(forcing):], forcing)
+    return z, ops.observe(z)
 
 
-def _initial_states(component, z0, n_traj):
-    """(n_traj, I, n) copies of z0 (shared or per trajectory) and their x."""
-    shape = (n_traj, component.size, component.n)
-    z = np.broadcast_to(np.asarray(z0, dtype=float).reshape(
-        (-1,) + shape[1:]), shape).copy()
-    return z, np.einsum("i,tip->tp", component.w, z)
+def _batch(plans):
+    """plans, a lone plan twice.  numpy drops a trajectory axis of length 1
+    from an einsum and may then sum over the factors in its inner loop, in
+    another order; two columns keep a trajectory's bits the same in every
+    batch."""
+    return plans * 2 if len(plans) == 1 else plans
+
+
+def _initial_states(ops, z0, n_traj):
+    """(I*n, n_traj) copies of z0 (one state shared, or one per trajectory)
+    and their x."""
+    z = np.asarray(z0, dtype=float).reshape(-1, ops.forcing.shape[1]).T
+    z = np.broadcast_to(z, (z.shape[0], n_traj)).copy()
+    return z, ops.observe(z)
+
+
+def _by_trajectory(component, z):
+    """A trajectory-last state as (n_traj, I, n), a view."""
+    return z.T.reshape(z.shape[1], component.size, component.n)
 
 
 def _check_finite(kind, step, plans, *states):
     """Abort naming the step and first trajectory with a non-finite state."""
     if all(np.isfinite(z).all() for z in states):
         return
-    bad = np.any([~np.isfinite(z.reshape(len(plans), -1)).all(axis=1)
-                  for z in states], axis=0)
+    bad = np.any([~np.isfinite(z).all(axis=0) for z in states], axis=0)
     j = plans[np.argmax(bad)].trajectory_index
     raise FloatingPointError(
         f"non-finite {kind} state at step {step}, trajectory {j}")
 
 
 def _lifted_steps(component, coeffs, z0, plans):
-    """Integrate the ensemble of plans; yield (step, z, x) for step 0 and
-    after every step.  Each yielded array is new, never updated in place."""
-    z, x = _initial_states(component, z0, len(plans))
-    decay, phi = _step_factors(component, plans[0].h)
+    """Integrate the ensemble of plans (a lone plan twice, see _batch);
+    yield (step, z, x), trajectory-last, for step 0 and after every step.
+    Each yielded array is new, never updated in place."""
+    plans = _batch(plans)
+    ops = step_operators(component, plans[0].h)
+    z, x = _initial_states(ops, z0, len(plans))
     yield 0, z, x
     for step, dw in enumerate(_stacked_increments(plans), start=1):
-        z, x = lifted_step(component, coeffs, z, x, dw, decay, phi)
+        z, x = lifted_step(ops, coeffs, z, x, dw)
         _check_finite("lifted", step, plans, z)
         yield step, z, x
 
@@ -167,7 +207,7 @@ def simulate_lifted(component, coeffs, z0, plan):
     states = np.empty((m + 1, component.size, component.n))
     obs = np.empty((m + 1, component.n))
     for step, z, x in _lifted_steps(component, coeffs, z0, [plan]):
-        states[step], obs[step] = z[0], x[0]
+        states[step], obs[step] = _by_trajectory(component, z)[0], x[:, 0]
     return LiftedPath(times=np.arange(m + 1) * plan.h, states=states,
                       observables=obs)
 
@@ -182,11 +222,13 @@ def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
     if any(s < 0 or s > m for s in rec_steps):
         raise ValueError("record time outside the simulated horizon")
     rec = dict.fromkeys(rec_steps)
+    n_traj = len(plans)
     for step, z, x in _lifted_steps(component, coeffs, z0, plans):
         if step in rec:
-            rec[step] = x
+            rec[step] = x[:, :n_traj].T
     return (np.array([s * h for s in rec_steps]),
-            np.stack([rec[s] for s in rec_steps]), z)
+            np.stack([rec[s] for s in rec_steps]),
+            _by_trajectory(component, z)[:n_traj].copy())
 
 
 @cache

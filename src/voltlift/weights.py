@@ -23,6 +23,8 @@ class WeightTable:
     Phi: np.ndarray          # (I, n, n) symmetric positive definite
     tag: str
     C_phi: float             # smallest admissibility constant over the cells
+    norm_op: np.ndarray      # (I, n, n) w_i Phi_i, for weighted_norms
+    mu_op: np.ndarray        # (I, n, n) w_i M_s,i^T Phi_i, for mu_sigma_phi
 
     @property
     def size(self):
@@ -55,7 +57,10 @@ def _finish_table(component, mats, tag):
         vals = _assert_spd(m, f"{tag} cell {i}")
         root = (1.0 + component.a[i]) ** 0.5
         c_phi = max(c_phi, vals[-1] * root, 1.0 / (vals[0] * root))
-    return WeightTable(Phi=np.stack(mats), tag=tag, C_phi=c_phi)
+    phi = np.stack(mats)
+    w = component.w[:, None, None]
+    return WeightTable(Phi=phi, tag=tag, C_phi=c_phi, norm_op=w * phi,
+                       mu_op=w * (np.swapaxes(component.Ms, -1, -2) @ phi))
 
 
 def build_custom(component, mats, tag="custom"):
@@ -120,14 +125,13 @@ def weighted_norms(component, table, z):
     z = np.asarray(z, dtype=float)
     if z.shape[-2] != component.size or z.shape[-1] != component.n:
         raise ValueError("state shape does not match the component")
-    quad = np.einsum("...ip,ipq,...iq->...i", z, table.Phi, z)
-    return np.sqrt(np.einsum("i,...i->...", component.w, quad))
+    return np.sqrt(np.einsum("ipq,...ip,...iq->...", table.norm_op, z, z))
 
 
 def mu_sigma_phi(component, table, z):
-    """mu_{sigma,Phi}[z], batched; used in the coupling inner loop."""
-    phi_z = np.einsum("ipq,...iq->...ip", table.Phi, z)
-    return np.einsum("i,iqp,...iq->...p", component.w, component.Ms, phi_z)
+    """mu_{sigma,Phi}[z] = sum_i w_i M_sigma,i^T Phi_i z_i, batched over z of
+    shape (..., I, n); used in the coupling inner loop."""
+    return np.einsum("ipq,...iq->...p", table.mu_op, z)
 
 
 def distance_dphi(z1, z2, component, phi_table):

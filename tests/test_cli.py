@@ -232,6 +232,19 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
      "coupling.delta", 0, 2),
     ("coupling", {"coupling": {"L": 0.01}, "coefficients": TANH},
      "coupling.L", 0, 2),
+    # a coupling constant must be positive, with or without m
+    ("coupling", {"coupling": {"R": -1.0}, "coefficients": TANH},
+     "coupling.R", 2, 2),
+    ("coupling", {"coupling": {"m": 4.0, "R": -1.0}, "coefficients": TANH},
+     "coupling.R", 2, 2),
+    ("coupling", {"coupling": {"m": 0.0}, "coefficients": TANH},
+     "coupling.m", 2, 2),
+    ("coupling", {"coupling": {"m": 4.0, "delta": -1.0},
+                  "coefficients": TANH}, "coupling.delta", 2, 2),
+    ("coupling", {"coupling": {"m": 4.0, "L": 0.0}, "coefficients": TANH},
+     "coupling.L", 2, 2),
+    ("coupling", {"coupling": {"lam": -1.0}, "coefficients": TANH},
+     "coupling.lam", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):

@@ -1,17 +1,20 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voltlift.cli import _build_inputs, main, resolve_config
-from voltlift.coupling import contraction_report, simulate_coupled_pair
+from voltlift.coupling import (_control, contraction_report,
+                               simulate_coupled_pair)
 from voltlift.discretize import build_component
 from voltlift.dynamics import CoefficientModel, make_plans, make_preset
-from voltlift.kernelbasis import make_expsum_basis
+from voltlift.kernelbasis import (make_expsum_basis,
+                                  make_tempered_fractional_basis)
 from voltlift.weights import (build_custom, build_phi_coupling,
-                              build_psi_lyapunov, distance_dphipsi,
-                              find_certified_constants)
+                              build_psi_lyapunov, compute_coupling_constants,
+                              distance_dphipsi, find_certified_constants)
 
 EYE = np.eye(1)
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "coupling.json"
@@ -89,6 +92,52 @@ def test_degenerate_diffusion_aborts():
     with pytest.raises(FloatingPointError):
         simulate_coupled_pair(comp, degenerate, table, 1.0,
                               np.full((1, 1), 1.0), np.zeros((1, 1)), plans)
+
+
+def test_control_divides_a_1x1_gram_matrix_as_solve_does():
+    rng = np.random.default_rng(5)
+    coeffs = CoefficientModel(
+        b=lambda x: -x, sigma=lambda x: (0.2 + np.exp(np.sin(3.0 * x)))[
+            ..., None], n=1, d=1)
+    for n_traj in (1, 2, 7, 1000):
+        xh = rng.normal(size=(1, n_traj)) * 3.0
+        v = rng.normal(size=(1, n_traj)) * 10.0 ** rng.uniform(-8, 8)
+        s = coeffs.sigma(xh.T)
+        gram = np.einsum("tpd,tqd->tpq", s, s)
+        sol = np.linalg.solve(gram, v.T[..., None])[..., 0]
+        want = 1.3 * np.einsum("tpd,tp->td", s, sol)
+        np.testing.assert_array_equal(_control(coeffs, xh, v, 1.3), want)
+
+
+def test_zero_gram_matrix_raises_not_warns():
+    coeffs = CoefficientModel(
+        b=lambda x: -x, sigma=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
+        n=1, d=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="singular diffusion"):
+            _control(coeffs, np.ones((1, 3)), np.ones((1, 3)), 1.0)
+
+
+def test_coupled_trajectory_bits_do_not_depend_on_its_batch():
+    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0)
+    comp = build_component(basis, 16, 64.0)
+    coeffs = make_preset("tanh", scale=0.1, sigma0=1.0)
+    consts = compute_coupling_constants(comp, coeffs, m=8.0)
+    table = build_phi_coupling(comp, consts.m, consts.delta, consts.L, 1e300)
+    y1, y2 = np.ones((16, 1)), np.zeros((16, 1))
+    plans = make_plans(7, 5, 0.01, 0.3, d=1)
+    batch = simulate_coupled_pair(comp, coeffs, table, consts.lam, y1, y2,
+                                  plans)
+    for j in (0, 2, 4):
+        solo = simulate_coupled_pair(comp, coeffs, table, consts.lam, y1, y2,
+                                     plans[j:j + 1])
+        for name in ("dist_phi", "energy", "control"):
+            np.testing.assert_array_equal(getattr(solo, name)[:, 0],
+                                          getattr(batch, name)[:, j], name)
+        for name in ("y_final", "yh_final"):
+            np.testing.assert_array_equal(getattr(solo, name)[0],
+                                          getattr(batch, name)[j], name)
 
 
 def test_invalid_gain_rejected():

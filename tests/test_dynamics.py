@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               _stacked_increments, make_plans, make_preset,
-                               preset_linear, simulate_lifted,
+                               _stacked_increments, lifted_step, make_plans,
+                               make_preset, preset_linear, simulate_lifted,
                                simulate_lifted_ensemble,
-                               simulate_volterra_direct,
+                               simulate_volterra_direct, step_operators,
                                truncate_coefficients, volterra_weights)
-from voltlift.kernelbasis import make_expsum_basis
+from voltlift.kernelbasis import (make_expsum_basis,
+                                  make_tempered_fractional_basis)
 
 EYE = np.eye(1)
 
@@ -86,6 +87,79 @@ def test_ensemble_matches_single_trajectory():
     solo = simulate_lifted(comp, coeffs, np.zeros((1, 1)), plans[2])
     np.testing.assert_array_equal(xs[-1, 2], solo.observables[-1])
     np.testing.assert_array_equal(z_final[2], solo.states[-1])
+
+
+def frac16_setup():
+    # the coupling_frac benchmark's component: 16 factors, n = 1
+    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0)
+    return (build_component(basis, 16, 64.0),
+            make_preset("tanh", scale=0.1, sigma0=1.0))
+
+
+def ergodic_2d_setup():
+    # the ergodic_2d benchmark's component: one factor, n = 2
+    basis = make_expsum_basis([(1.0, np.eye(2),
+                                np.array([[1.0, 0.3], [0.3, 1.0]]))])
+    return (build_component(basis, 1, 2.0),
+            make_preset("tanh", n=2, scale=0.5, sigma0=1.0))
+
+
+@pytest.mark.parametrize("setup", [frac16_setup, ergodic_2d_setup])
+def test_trajectory_bits_do_not_depend_on_its_batch(setup):
+    comp, coeffs = setup()
+    z0 = np.full((comp.size, comp.n), 0.5)
+    plans = make_plans(11, 5, 0.01, 0.6, d=coeffs.d)
+    times, xs, z_final = simulate_lifted_ensemble(
+        comp, coeffs, z0, plans, record_times=[0.3, 0.6])
+    for j in (0, 3, 4):
+        solo = simulate_lifted(comp, coeffs, z0, plans[j])
+        np.testing.assert_array_equal(xs[:, j], solo.observables[[30, 60]])
+        np.testing.assert_array_equal(z_final[j], solo.states[-1])
+
+
+def explicit_step(comp, coeffs, z, dw, h, extra=None):
+    """decay z + phi (M_b b(x) + extra) + decay M_s sigma(x) dw, written
+    out per factor for states z of shape (n_traj, I, n)."""
+    decay = np.exp(-comp.a * h)[:, None]
+    phi = ((1.0 - np.exp(-comp.a * h)) / comp.a)[:, None]
+    x = np.einsum("i,tip->tp", comp.w, z)
+    drift = np.einsum("ipq,tq->tip", comp.Mb, coeffs.b(x))
+    if extra is not None:
+        drift = drift + extra
+    noise = np.einsum("tpd,td->tp", coeffs.sigma(x), dw)
+    return (decay * z + phi * drift
+            + decay * np.einsum("ipq,tq->tip", comp.Ms, noise))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("controlled", [False, True])
+def test_step_operators_match_the_explicit_update(n, controlled):
+    rng = np.random.default_rng(n + 2 * controlled)
+    size, n_traj, h, lam = 5, 7, 0.02, 1.7
+    basis = make_expsum_basis([
+        (rate, rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+        for rate in (0.3, 1.0, 4.0, 20.0, 90.0)])
+    comp = build_component(basis, size, 100.0)
+    amp, tilt = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    coeffs = CoefficientModel(
+        b=lambda x: np.sin(x) - x,
+        sigma=lambda x: amp + 0.3 * np.tanh(x)[..., :, None] * tilt,
+        n=n, d=n)
+    z = rng.normal(size=(n_traj, size, n))
+    dw = rng.normal(size=(n_traj, n)) * np.sqrt(h)
+    v = rng.normal(size=(n_traj, n)) if controlled else None
+    ops = step_operators(comp, h, lam if controlled else None)
+    zt = z.reshape(n_traj, -1).T.copy()
+    got, x = lifted_step(ops, coeffs, zt, ops.observe(zt), dw,
+                         None if v is None else v.T.copy())
+    got = got.T.reshape(n_traj, size, n)
+    extra = (None if v is None
+             else lam * np.einsum("ipq,tq->tip", comp.Ms, v))
+    want = explicit_step(comp, coeffs, z, dw, h, extra)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    assert np.abs(x.T - np.einsum("i,tip->tp", comp.w, want)).max() \
+        <= 1e-13 * scale
 
 
 def test_block_noise_matches_full_draw():
