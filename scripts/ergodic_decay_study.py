@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--trajectories", type=int, default=4096)
     ap.add_argument("--h", type=float, default=1e-2)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     basis = make_expsum_basis([(1.0, np.eye(1), np.eye(1))])
@@ -39,7 +38,7 @@ def main():
     z1 = np.full((comp.size, comp.n), start)
     z2 = np.zeros((comp.size, comp.n))
     fit = ergodic_decay(comp, coeffs, z1, z2, args.trajectories, times,
-                        seed=args.seed, h=args.h, threads=args.threads)
+                        seed=args.seed, h=args.h)
     for t, w in zip(fit.times, fit.w1):
         print(f"t = {t:5.2f}   W1 = {w:.5f}")
     print(f"fitted rate r_hat = {fit.r_hat:.4f} "

@@ -1,6 +1,6 @@
 """Run every example config under configs/ and print a verdict summary.
 
-Usage: python scripts/run_all_configs.py [--out DIR] [--threads N]
+Usage: python scripts/run_all_configs.py [--out DIR]
 
 configs/ is found next to this script, so it runs from any directory.
 After each config's summary line the script prints one
@@ -22,7 +22,7 @@ from voltlift.cli import main as cli_main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def run_all(out_root, threads):
+def run_all(out_root):
     # *_basis.json files are data referenced by configs, not configs
     configs = [c for c in sorted(CONFIGS.glob("*.json"))
                if not c.stem.endswith("_basis")]
@@ -30,8 +30,7 @@ def run_all(out_root, threads):
     for cfg in configs:
         out = Path(out_root) / cfg.stem
         t0 = time.perf_counter()
-        rc = cli_main(["run", "--config", str(cfg), "--out", str(out),
-                       "--threads", str(threads)])
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
         dt = time.perf_counter() - t0
         verdict = {}
         vfile = out / "verdict.json"
@@ -52,6 +51,5 @@ def run_all(out_root, threads):
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
-    sys.exit(min(run_all(args.out, args.threads), 1))
+    sys.exit(min(run_all(args.out), 1))

@@ -1,8 +1,9 @@
 """Batch front door: JSON experiment configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 completed, 2 precondition/config failure, 3 numerical abort.
-Result CSVs are byte-identical across reruns and worker counts; wall-clock
-metadata lives in a separate file so the CSV body stays deterministic.
+Result CSVs are byte-identical across reruns; wall-clock metadata lives in
+a separate file so the CSV body stays deterministic.  ``run --threads N``
+is accepted and ignored: every ensemble runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -217,21 +218,20 @@ def _component(cfg, basis):
     return build_component(basis, d["k"], d["theta_max"])
 
 
-def _mc(cfg, threads):  # keywords shared by the Monte Carlo diagnostics
-    return dict(seed=cfg["rng"]["seed"], h=cfg["scheme"]["h"],
-                threads=threads)
+def _mc(cfg):  # keywords shared by the Monte Carlo diagnostics
+    return dict(seed=cfg["rng"]["seed"], h=cfg["scheme"]["h"])
 
 
-# Runners: (cfg, basis, coeffs, out_dir, threads[, basis_b]) ->
+# Runners: (cfg, basis, coeffs, out_dir[, basis_b]) ->
 # (results.csv rows after the experiment column, verdict fields).
-def _lyapunov_check(cfg, basis, coeffs, out_dir, threads):
+def _lyapunov_check(cfg, basis, coeffs, out_dir):
     rep = check_lyapunov_sufficient(basis, coeffs)
     return [(0, 0.0, rep.I, 0.0, 0.0)], dict(
         passed=rep.passed, margin=rep.margin, I=rep.I, kappa=rep.kappa,
         details=rep.details)
 
 
-def _kernel_error(cfg, basis, coeffs, out_dir, threads):
+def _kernel_error(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
     rows, kcsv, max_rel = [], [], 0.0
     for which in (DRIFT, DIFFUSION):
@@ -252,7 +252,7 @@ def _kernel_error(cfg, basis, coeffs, out_dir, threads):
                       theta_max=component.theta_max)
 
 
-def _simulate(cfg, basis, coeffs, out_dir, threads):
+def _simulate(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
     T = cfg["scheme"]["T"]
     plan = NoisePlan(cfg["rng"]["seed"], 0, cfg["scheme"]["h"], T,
@@ -268,7 +268,7 @@ def _simulate(cfg, basis, coeffs, out_dir, threads):
         final_X=[float(v) for v in final])
 
 
-def _coupling(cfg, basis, coeffs, out_dir, threads):
+def _coupling(cfg, basis, coeffs, out_dir):
     given = {k: v for k, v in cfg["coupling"].items() if v is not None}
     lam = given.pop("lam", None)
     unpaired = sorted(given.keys() & {"delta", "L"})
@@ -314,47 +314,44 @@ def _coupling(cfg, basis, coeffs, out_dir, threads):
                                 "ratio": d_mean / d0 if d0 > 0.0 else None})
 
 
-def _ergodic(cfg, basis, coeffs, out_dir, threads):
+def _ergodic(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
     times = [t for t in cfg["t_grid"] if 0 < t <= cfg["scheme"]["T"]]
     if not times:
         raise ConfigError("t_grid has no entry in (0, scheme.T]")
     fit = erg.ergodic_decay(component, coeffs, *_initial(cfg, component),
-                            cfg["rng"]["trajectories"], times,
-                            **_mc(cfg, threads))
+                            cfg["rng"]["trajectories"], times, **_mc(cfg))
     rows = [(component.size, float(t), float(v), 0.0, 0.0)
             for t, v in zip(fit.times, fit.w1)]
     return rows, dict(r_hat=fit.r_hat, intercept=fit.intercept,
                       r_stderr=fit.r_stderr)
 
 
-def _stationarity(cfg, basis, coeffs, out_dir, threads):
+def _stationarity(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
     res = erg.stationarity_test(component, coeffs, cfg["burn_in"],
                                 cfg["lags"], cfg["rng"]["trajectories"],
-                                _initial(cfg, component)[0],
-                                **_mc(cfg, threads))
+                                _initial(cfg, component)[0], **_mc(cfg))
     rows = [(component.size, float(lag), float(v), 0.0, float(fl))
             for lag, v, fl in zip(res.lags, res.w1, res.floors)]
     return rows, dict(passed=res.all_pass,
                       per_lag=[bool(p) for p in res.passed])
 
 
-def _lift_independence(cfg, basis, coeffs, out_dir, threads, basis_b):
+def _lift_independence(cfg, basis, coeffs, out_dir, basis_b):
     d, T = cfg["discretization"], cfg["scheme"]["T"]
     res = erg.lift_independence_test(basis, basis_b, coeffs, T,
                                      cfg["rng"]["trajectories"], k=d["k"],
-                                     theta_max=d["theta_max"],
-                                     **_mc(cfg, threads))
+                                     theta_max=d["theta_max"], **_mc(cfg))
     return [(d["k"], T, res.w1, 0.0, res.floor)], dict(
         w1=res.w1, floor=res.floor, eps_bias=res.eps_bias,
         passed=res.passed)
 
 
-def _ipm_convergence(cfg, basis, coeffs, out_dir, threads):
+def _ipm_convergence(cfg, basis, coeffs, out_dir):
     trend = erg.ipm_convergence(basis, coeffs, cfg["ladder"],
                                 cfg["scheme"]["T"], cfg["rng"]["trajectories"],
-                                **_mc(cfg, threads))
+                                **_mc(cfg))
     rows = [(int(kk), float(ee), float(vv), 0.0, trend.finest_floor)
             for kk, ee, vv in zip(trend.ks, trend.eps, trend.w1)]
     return rows, dict(spearman=trend.spearman,
@@ -378,14 +375,14 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg, out_dir, threads=1):
+def run_experiment(cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True, default=float) + "\n")
     bases, coeffs = _build_inputs(cfg)
     exp = cfg["experiment"]
     rows, fields = EXPERIMENTS[exp][1](cfg, coeffs=coeffs, out_dir=out_dir,
-                                       threads=threads, **bases)
+                                       **bases)
     _write_rows(out_dir / "results.csv",
                 "experiment,k,t_or_lag,estimate,stderr,floor",
                 [(exp,) + row for row in rows])
@@ -406,7 +403,8 @@ def main(argv=None):
         if name == "run":
             p.add_argument("--out", default=None)
             p.add_argument("--seed-override", type=int, default=None)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted and ignored")
     args = parser.parse_args(argv)
 
     try:
@@ -426,7 +424,7 @@ def main(argv=None):
         cfg["rng"]["seed"] = args.seed_override
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
     try:
-        run_experiment(cfg, out_dir, threads=args.threads)
+        run_experiment(cfg, out_dir)
     except FloatingPointError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

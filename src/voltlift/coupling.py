@@ -104,10 +104,10 @@ class ContractionReport:
     kl_budget: float
 
 
-def contraction_report(run, kappa, lam=None, c_ue=1.0, fit_start=0.0,
-                       stderr_mult=3.0):
+def contraction_report(run, kappa, lam=None, c_ue=1.0):
     """Fit the decay rate of the ensemble mean distance and check the
-    exp(-kappa t / 2) envelope and the Girsanov energy budget.
+    exp(-kappa t / 2) envelope and the Girsanov energy budget, each to
+    within three standard errors.
 
     The budget is stated in raw coupling-weight units: the rescaled weight
     C_UE * lam * Phi turns it into one half of the squared initial distance,
@@ -123,11 +123,11 @@ def contraction_report(run, kappa, lam=None, c_ue=1.0, fit_start=0.0,
 
     if d0 == 0.0:
         r_hat = None
-        contraction_ok = bool(np.all(mean <= stderr_mult * stderr + 1e-30))
+        contraction_ok = bool(np.all(mean <= 3.0 * stderr + 1e-30))
     else:
         contraction_ok = bool(np.all(
-            mean <= envelope + stderr_mult * stderr + 1e-30))
-        mask = (run.times >= fit_start) & (mean > 0.0)
+            mean <= envelope + 3.0 * stderr + 1e-30))
+        mask = mean > 0.0
         t_fit = run.times[mask]
         r_hat = None
         if t_fit.size >= 2:
@@ -138,7 +138,7 @@ def contraction_report(run, kappa, lam=None, c_ue=1.0, fit_start=0.0,
     energy_se = (run.energy[-1].std(ddof=1) / np.sqrt(n_traj)
                  if n_traj > 1 else 0.0)
     budget = np.inf if lam is None else 0.5 * c_ue * lam * d0 ** 2
-    kl_ok = bool(energy_final <= budget + stderr_mult * energy_se + 1e-30)
+    kl_ok = bool(energy_final <= budget + 3.0 * energy_se + 1e-30)
     return ContractionReport(r_hat=r_hat, contraction_ok=contraction_ok,
                              kl_ok=kl_ok, mean_dist=mean, stderr_dist=stderr,
                              envelope=envelope,

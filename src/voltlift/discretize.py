@@ -49,7 +49,7 @@ def _cell_quads(seg, lo, hi):
     return node, mass, mb / safe, ms / safe
 
 
-def _segment_edges(lo, hi, m, f0=FIRST_CELL_FRACTION):
+def _segment_edges(lo, hi, m):
     """Geometric cell edges on [lo, hi]: a sliver against the (possibly
     singular) lower endpoint followed by m-1 geometrically growing cells.
     The sliver width is tied to the local scale 1 + lo, not the clipped
@@ -57,7 +57,7 @@ def _segment_edges(lo, hi, m, f0=FIRST_CELL_FRACTION):
     span = hi - lo
     if m == 1:
         return np.array([lo, hi])
-    first = f0 * min(span, 1.0 + lo)
+    first = FIRST_CELL_FRACTION * min(span, 1.0 + lo)
     offsets = np.geomspace(first, span, m)
     return np.concatenate(([lo], lo + offsets))
 

@@ -219,11 +219,11 @@ def compute_coupling_constants(component, coeffs, m, delta=None, L=None,
                              beta=beta, epsilon=eps, C=c_const)
 
 
-def find_certified_constants(component, coeffs, R=np.inf, m_cap_factor=2 ** 20):
-    """Double m under the schedule until epsilon <= 1/2; None on failure."""
+def find_certified_constants(component, coeffs, R=np.inf):
+    """Double m from 2 kappa until epsilon <= 1/2; None past 2^20 kappa."""
     kappa = float(np.min(component.a))
     m = 2.0 * kappa
-    while m <= m_cap_factor * kappa:
+    while m <= 2 ** 20 * kappa:
         consts = compute_coupling_constants(component, coeffs, m, R=R)
         if consts.certified:
             return consts

@@ -94,8 +94,8 @@ def test_criterion_04_ou_stationary_variance():
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     n = 8192
     ens = run_ensemble(comp, coeffs, np.zeros((1, 1)), seed=1, n_traj=n,
-                       h=1e-2, T=50.0, record_times=[50.0], threads=4)
-    var = float(ens.samples[-1][:, 0].var(ddof=1))
+                       h=1e-2, T=50.0, record_times=[50.0])
+    var = float(ens[-1][:, 0].var(ddof=1))
     se = var * np.sqrt(2.0 / n)
     elapsed = time.perf_counter() - t0
     assert abs(var - 0.5) <= 3.0 * se
@@ -160,20 +160,19 @@ def test_criterion_07_ergodic_decay():
     ou = make_preset("linear", beta=0.0, sigma0=1.0)
     times = np.linspace(0.5, 3.0, 6)
     fit = ergodic_decay(comp, ou, np.full((1, 1), 1.0), np.zeros((1, 1)),
-                        4096, times, seed=11, h=1e-2, threads=4)
+                        4096, times, seed=11, h=1e-2)
     assert abs(fit.r_hat - 1.0) <= 3.0 * fit.r_stderr
 
     well = make_preset("double_well", sigma0=1.0)
     assert check_lyapunov_sufficient(basis, well).passed
     times2 = np.linspace(0.5, 6.0, 8)
     fit2 = ergodic_decay(comp, well, np.full((1, 1), 2.0),
-                         np.zeros((1, 1)), 4096, times2, seed=12, h=1e-2,
-                         threads=4)
+                         np.zeros((1, 1)), 4096, times2, seed=12, h=1e-2)
     e1 = run_ensemble(comp, well, np.full((1, 1), 2.0), 12, 4096, 1e-2,
-                      6.0, [6.0], threads=4)
+                      6.0, [6.0])
     e2 = run_ensemble(comp, well, np.zeros((1, 1)), 12, 4096, 1e-2, 6.0,
-                      [6.0], threads=4, first_index=4096)
-    floor = noise_floor(e1.samples[-1], e2.samples[-1], seed=5)
+                      [6.0], first_index=4096)
+    floor = noise_floor(e1[-1], e2[-1], seed=5)
     assert fit2.r_hat > 0.0
     assert fit2.w1[-1] <= floor
     report(7, f"OU rate {fit.r_hat:.3f} (3se {3 * fit.r_stderr:.3f}), "
@@ -211,13 +210,13 @@ def test_criterion_09_stationarity_calibration():
         z0 = gen.standard_normal((n_traj, 1, 1)) * np.sqrt(svar)
         res = stationarity_test(comp, coeffs, burn_in=0.0,
                                 lags=[1.0, 2.0, 5.0], n_traj=n_traj, z0=z0,
-                                seed=seed, h=h, threads=2, n_boot=60)
+                                seed=seed, h=h, n_boot=60)
         failures += 0 if res.all_pass else 1
     assert failures <= 5
 
     transient = stationarity_test(comp, coeffs, burn_in=0.0, lags=[1.0],
                                   n_traj=512, z0=np.full((1, 1), 2.0),
-                                  seed=3, h=h, threads=2)
+                                  seed=3, h=h)
     assert not transient.passed[0]
     report(9, f"{failures}/100 false positives (<= 5), transient start "
               f"rejected at lag 1")
@@ -232,8 +231,7 @@ def test_criterion_10_lift_independence():
     density = LiftingBasis(n=1, atoms=[], segments=[seg], closed_forms={})
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     res = lift_independence_test(atom, density, coeffs, T=8.0, n_traj=4096,
-                                 k=16, seed=21, h=1e-2, threads=4,
-                                 theta_max=2.0)
+                                 k=16, seed=21, h=1e-2, theta_max=2.0)
     assert res.passed
     assert res.w1 <= res.floor + res.eps_bias
 
@@ -249,7 +247,7 @@ def test_criterion_11_ipm_convergence_trend():
     basis = make_tempered_fractional_basis(0.5, 0.55, 1.0, 1.0)
     coeffs = make_preset("linear", beta=1.0, sigma0=1.0)
     trend = ipm_convergence(basis, coeffs, [8, 16, 32, 64], T=8.0,
-                            n_traj=4096, seed=31, h=2e-2, threads=4)
+                            n_traj=4096, seed=31, h=2e-2)
     elapsed = time.perf_counter() - t0
     assert trend.spearman > 0.0
     assert trend.w1[0] > trend.finest_floor

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from voltlift.discretize import build_component
-from voltlift.dynamics import make_preset
+from voltlift.dynamics import make_plans, make_preset, simulate_lifted_ensemble
 from voltlift.ergodics import (_spearman, ergodic_decay,
                                lift_independence_test, noise_floor,
                                run_ensemble, sliced_w1, stationarity_test,
@@ -111,13 +111,16 @@ def test_noise_floor_bootstraps_the_sliced_statistic():
     assert padded == pytest.approx(c * noise_floor(a, b, seed=3), rel=1e-12)
 
 
-def test_run_ensemble_thread_invariance():
+def test_run_ensemble_chunk_invariance():
+    # 2048 trajectories run as two chunks; one batch of the same plans
+    # gives the same bits
     comp, coeffs = ou_setup()
-    kw = dict(z0=np.zeros((1, 1)), seed=4, n_traj=2048, h=0.05, T=1.0,
-              record_times=[0.5, 1.0])
-    e1 = run_ensemble(comp, coeffs, threads=1, **kw)
-    e4 = run_ensemble(comp, coeffs, threads=4, **kw)
-    np.testing.assert_array_equal(e1.samples, e4.samples)
+    z0, rec = np.zeros((1, 1)), [0.5, 1.0]
+    chunked = run_ensemble(comp, coeffs, z0, seed=4, n_traj=2048, h=0.05,
+                           T=1.0, record_times=rec)
+    _, whole, _ = simulate_lifted_ensemble(
+        comp, coeffs, z0, make_plans(4, 2048, 0.05, 1.0), record_times=rec)
+    np.testing.assert_array_equal(chunked, whole)
 
 
 def test_run_ensemble_per_trajectory_initial_states():
@@ -125,7 +128,11 @@ def test_run_ensemble_per_trajectory_initial_states():
     z0 = np.arange(6, dtype=float).reshape(6, 1, 1)
     ens = run_ensemble(comp, coeffs, z0, seed=0, n_traj=6, h=0.5, T=0.5,
                        record_times=[0.0])
-    np.testing.assert_allclose(ens.samples[0, :, 0], np.arange(6.0))
+    np.testing.assert_allclose(ens[0, :, 0], np.arange(6.0))
+    # without the check the second chunk would broadcast its one row
+    with pytest.raises(ValueError, match="1025 initial states for 2048"):
+        run_ensemble(comp, coeffs, np.zeros((1025, 1, 1)), seed=0,
+                     n_traj=2048, h=0.5, T=0.5, record_times=[0.0])
 
 
 def test_ergodic_decay_ou_rate():
@@ -133,7 +140,7 @@ def test_ergodic_decay_ou_rate():
     times = np.linspace(0.5, 3.0, 6)
     fit = ergodic_decay(comp, coeffs, np.full((1, 1), 1.0),
                         np.zeros((1, 1)), 2048, times, seed=11, h=1e-2,
-                        threads=2, n_boot=40)
+                        n_boot=40)
     assert abs(fit.r_hat - 1.0) <= 3.0 * fit.r_stderr
     assert np.all(fit.w1 > 0.0)
 
@@ -154,7 +161,7 @@ def test_stationarity_accepts_stationary_start():
                                                             dtype=np.uint64)))
     z0 = gen.standard_normal((1024, 1, 1)) * np.sqrt(svar)
     res = stationarity_test(comp, coeffs, burn_in=0.0, lags=[1.0, 2.0],
-                            n_traj=1024, z0=z0, seed=6, h=h, threads=2)
+                            n_traj=1024, z0=z0, seed=6, h=h)
     assert res.all_pass
 
 
@@ -162,7 +169,7 @@ def test_stationarity_detects_transient():
     comp, coeffs = ou_setup()
     res = stationarity_test(comp, coeffs, burn_in=0.0, lags=[1.0],
                             n_traj=512, z0=np.full((1, 1), 2.0), seed=7,
-                            h=0.01, threads=2)
+                            h=0.01)
     assert not res.passed[0]
 
 
