@@ -22,7 +22,6 @@ class CoupledRun:
     times: np.ndarray        # (M+1,)
     dist_phi: np.ndarray     # (M+1,) or (M+1, n_traj)
     energy: np.ndarray       # same shape; E(t) = 1/2 int |u|^2
-    control: np.ndarray      # (M+1, ..., d) control vector per time
     y_final: np.ndarray      # (n_traj, I, n) Y_T, the uncontrolled copy
     yh_final: np.ndarray     # (n_traj, I, n) Yhat_T, the controlled copy
 
@@ -70,24 +69,20 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     times = np.arange(m + 1) * h
     dist = np.empty((m + 1, n_traj))
     energy = np.empty((m + 1, n_traj))
-    control = np.empty((m + 1, n_traj, coeffs.d))
     diff = _by_trajectory(component, y - yh)
     dist[0] = weighted_norms(component, table, diff)[:n_traj]
     v = mu_sigma_phi(component, table, diff).T
-    control[0] = _control(coeffs, xh, v, lam)[:n_traj]
     energy[0] = 0.0
     for step, dw in enumerate(_stacked_increments(batch), start=1):
         # left-point quadrature of the control energy
-        energy[step] = energy[step - 1] + 0.5 * h * np.sum(
-            control[step - 1] ** 2, axis=-1)
+        u = _control(coeffs, xh, v, lam)[:n_traj]
+        energy[step] = energy[step - 1] + 0.5 * h * np.sum(u ** 2, axis=-1)
         y, yh, x, xh, v = _coupled_step(component, coeffs, table, ops, y, yh,
                                         x, xh, v, dw)
         _check_finite("coupled", step, batch, y, yh)
         dist[step] = weighted_norms(
             component, table, _by_trajectory(component, y - yh))[:n_traj]
-        control[step] = _control(coeffs, xh, v, lam)[:n_traj]
     return CoupledRun(times=times, dist_phi=dist, energy=energy,
-                      control=control,
                       y_final=_by_trajectory(component, y)[:n_traj].copy(),
                       yh_final=_by_trajectory(component, yh)[:n_traj].copy())
 

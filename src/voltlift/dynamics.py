@@ -1,19 +1,21 @@
 """Integrators for the lifted SDE and the direct Volterra discretization.
 
 The lifted scheme is an exponential (exact-linear-part) Euler step; the
-direct scheme is a left-point Volterra Euler with integrated drift weights.
-Both consume Brownian increments from counter-based per-trajectory streams
-so that paths can be cross-validated on identical noise.
+direct scheme is a left-point Volterra Euler with drift weights integrated
+on the rule of ``quad.nodes``.  Both run a batch of plans on one noise
+source, ``_stacked_increments``, which draws counter-based per-trajectory
+streams, so that paths can be cross-validated on identical noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+from .quad import nodes
 
 DRIFT_FACTOR_CUTOFF = 1e-8
 NOISE_BLOCK_STEPS = 256
@@ -231,48 +233,27 @@ def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
             _by_trajectory(component, z)[:n_traj].copy())
 
 
-@cache
-def _gauss_legendre(order):
-    """Nodes and weights on (-1, 1), built once per order on first use, so
-    that a run which never calls the direct scheme never loads
-    numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _gauss_legendre_integral(f, lo, hi, order=12):
-    nodes, wts = _gauss_legendre(order)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * sum(w * f(mid + half * s) for s, w in zip(nodes, wts))
-
-
 def volterra_weights(k_b, k_s, h, m):
-    """Quadrature weights for the direct scheme.
+    """Quadrature weights for the direct scheme, each of shape (m, n, n).
 
-    Drift: KB_l = integral of K_b over ((l-1)h, lh); K_b may be singular
-    at 0+ but is locally integrable.  Diffusion: left-point values K_s(l h)
-    for l >= 2; the first weight is the root-mean-square of K_s over (0, h)
-    so the Ito isometry of the first step is matched.
+    Drift: KB_l = integral of K_b over ((l-1)h, lh), on the rule of
+    ``quad.nodes``; K_b may be singular at 0+ but is locally integrable.
+    Diffusion: left-point values K_s(l h) for l >= 2; the first weight is
+    the root-mean-square of K_s over (0, h) so the Ito isometry of the
+    first step is matched.  A kernel written for a scalar t is called on
+    t[..., None, None] and so broadcasts to t.shape + (n, n).
     """
-    kb = []
-    ks = []
-    for ell in range(1, m + 1):
-        lo, hi = (ell - 1) * h, ell * h
-        if ell == 1:
-            # s = u^2 flattens the possible endpoint singularity
-            kb.append(_gauss_legendre_integral(
-                lambda u: 2.0 * u * np.atleast_2d(k_b(u * u)),
-                math.sqrt(1e-300), math.sqrt(h), order=64))
-            mean_sq = _gauss_legendre_integral(
-                lambda u: 2.0 * u * np.atleast_2d(k_s(u * u)) ** 2,
-                math.sqrt(1e-300), math.sqrt(h), order=64) / h
-            ks.append(np.sqrt(np.maximum(mean_sq, 0.0))
-                      if mean_sq.shape == (1, 1)
-                      else _matrix_sqrt(mean_sq))
-        else:
-            kb.append(_gauss_legendre_integral(
-                lambda s: np.atleast_2d(k_b(s)), lo, hi, order=12))
-            ks.append(np.atleast_2d(k_s(hi)))
-    return np.stack(kb), np.stack(ks)
+    def at(k, t):
+        val = np.asarray(k(t[..., None, None]), dtype=float)
+        return np.broadcast_to(val, t.shape + val.shape[-2:])
+
+    lo, hi = np.arange(m) * h, np.arange(1, m + 1) * h
+    u, w = nodes(lo, hi)
+    kb = np.einsum("ln,lnpq->lpq", w, at(k_b, lo[:, None] + u))
+    mean_sq = np.einsum("n,npq->pq", w[0], at(k_s, u[0]) ** 2) / h
+    first = (np.sqrt(np.maximum(mean_sq, 0.0)) if mean_sq.shape == (1, 1)
+             else _matrix_sqrt(mean_sq))
+    return kb, np.concatenate([first[None], at(k_s, hi[1:])])
 
 
 def _matrix_sqrt(a):
@@ -280,30 +261,32 @@ def _matrix_sqrt(a):
     return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
-def simulate_volterra_direct(kernels, coeffs, forcing, plan):
-    """Left-point Euler for the Volterra equation itself (single trajectory).
-
-    kernels: (K_b, K_s) evaluators t -> (n, n); forcing: t -> (n,).
-    """
-    k_b, k_s = kernels
-    h, m, n = plan.h, plan.n_steps, coeffs.n
-    kb, ks = volterra_weights(k_b, k_s, h, m)
-    incs = plan.increments()
-    x = np.empty((m + 1, n))
-    bvals = np.empty((m, n))
-    svals = np.empty((m, n))
-    x[0] = np.atleast_1d(forcing(0.0))
-    for step in range(1, m + 1):
-        j = step - 1
-        bvals[j] = coeffs.b(x[j])
-        svals[j] = np.einsum("pd,d->p", np.atleast_2d(coeffs.sigma(x[j])
-                                                      ).reshape(n, coeffs.d),
-                             incs[j])
-        drift = np.einsum("lpq,lq->p", kb[:step][::-1], bvals[:step])
-        noise = np.einsum("lpq,lq->p", ks[:step][::-1], svals[:step])
-        x[step] = np.atleast_1d(forcing(step * h)) + drift + noise
-        _check_finite("Volterra", step, [plan], x[step])
-    return np.arange(m + 1) * h, x
+def simulate_volterra_direct(kernels, coeffs, forcing, plans):
+    """Left-point Euler for the Volterra equation itself, one trajectory
+    per plan (a list with common (h, T)), on the noise of the lifted
+    integrators.  kernels: (K_b, K_s), see volterra_weights; forcing:
+    t -> (n,).  Returns (times, x) with x of shape (m+1, n_traj, n)."""
+    h, m, n, n_traj = plans[0].h, plans[0].n_steps, coeffs.n, len(plans)
+    batch = _batch(plans)
+    kb, ks = volterra_weights(*kernels, h, m)
+    # trajectory-last, as in lifted_step: einsum's inner loop then runs
+    # over the trajectories, and each history sum keeps one order in
+    # any batch
+    x = np.empty((m + 1, n, len(batch)))
+    bvals = np.empty((m, n, len(batch)))
+    svals = np.empty((m, n, len(batch)))
+    x[0] = np.atleast_1d(forcing(0.0))[:, None]
+    for step, dw in enumerate(_stacked_increments(batch), start=1):
+        xt = x[step - 1].T
+        bvals[step - 1] = coeffs.b(xt).T
+        svals[step - 1] = np.einsum("tpd,td->pt", coeffs.sigma(xt), dw)
+        x[step] = (np.atleast_1d(forcing(step * h))[:, None]
+                   + np.einsum("lpq,lqt->pt", kb[step - 1::-1],
+                               bvals[:step])
+                   + np.einsum("lpq,lqt->pt", ks[step - 1::-1],
+                               svals[:step]))
+        _check_finite("Volterra", step, batch, x[step])
+    return np.arange(m + 1) * h, x[..., :n_traj].transpose(0, 2, 1)
 
 
 # -- coefficient presets -----------------------------------------------------

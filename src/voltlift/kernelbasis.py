@@ -54,7 +54,9 @@ class LiftingBasis:
     n: int
     atoms: tuple
     segments: tuple
-    # optional exact kernels for built-ins: {"drift": t -> (n, n), ...}
+    # optional exact kernels for built-ins: {"drift": t -> (n, n), ...},
+    # numpy expressions in t: a t array, called as t[..., None, None],
+    # gives t.shape + (n, n)
     closed_forms: dict = field(default_factory=dict)
 
 
@@ -88,7 +90,7 @@ def make_expsum_basis(terms):
         mats = [_as_matrix(t[idx], n) for t in terms]
 
         def k(t):
-            return sum(math.exp(-r * t) * m for r, m in zip(rates, mats))
+            return sum(np.exp(-r * t) * m for r, m in zip(rates, mats))
 
         return k
 
@@ -163,11 +165,11 @@ def make_tempered_fractional_basis(alpha_b, alpha_s, kappa_b, kappa_s,
     eye = np.eye(n)
 
     def k_drift(t):
-        return (t ** (alpha_b - 1.0) * math.exp(-kappa_b * t)
+        return (t ** (alpha_b - 1.0) * np.exp(-kappa_b * t)
                 / math.gamma(alpha_b)) * eye
 
     def k_diff(t):
-        return (t ** (alpha_s - 1.0) * math.exp(-kappa_s * t)
+        return (t ** (alpha_s - 1.0) * np.exp(-kappa_s * t)
                 / math.gamma(alpha_s)) * eye
 
     return LiftingBasis(n=n, atoms=(), segments=tuple(segs),

@@ -2,10 +2,12 @@
 
 Density integrands may carry an integrable power singularity at the lower
 endpoint of their segment.  The production rule is ``nodes``, a fixed
-double-exponential rule evaluated over arrays.  ``integrate_density`` is
-adaptive QAGS after the substitution theta = lower + s**2, which flattens
-(theta - lower)**(-g) for g < 1; it is kept as the reference oracle, and it
-is the only function that needs scipy, which it imports when called.
+double-exponential rule evaluated over arrays; it also integrates the
+direct Volterra scheme's kernels, which may be singular at t = 0, over its
+steps.  ``integrate_density`` is adaptive QAGS after the substitution
+theta = lower + s**2, which flattens (theta - lower)**(-g) for g < 1; it is
+kept as the reference oracle, and it is the only function that needs
+scipy, which it imports when called.
 """
 
 from __future__ import annotations

@@ -68,6 +68,16 @@ def build_custom(component, mats, tag="custom"):
                                      for m in mats], tag)
 
 
+def _cell_sets(component, L, R):
+    """Masks of the cells in the coupling sets A_L and B_R, whose M_sigma is
+    symmetric positive definite with 1 / lambda_min <= L and with
+    lambda_max <= R respectively."""
+    sym, vals = _sym_eigvalsh(component.Ms)
+    spd = sym & (vals[:, 0] > 0.0)
+    low = np.where(spd, vals[:, 0], 1.0)
+    return spd & (1.0 / low <= L), spd & (vals[:, -1] <= R)
+
+
 def build_phi_coupling(component, m, delta, L, R):
     """Four-branch coupling weight decided per cell from M_sigma."""
     kappa = float(np.min(component.a))
@@ -78,20 +88,16 @@ def build_phi_coupling(component, m, delta, L, R):
     if delta <= 0.0 or L <= 0.0 or R <= 0.0:
         raise ValueError("delta, L, R must be positive")
     eye = np.eye(component.n)
+    in_aL, in_bR = _cell_sets(component, L, R)
     mats = []
     for i in range(component.size):
         theta = component.a[i]
         ms = component.Ms[i]
         if theta >= m:
             mats.append(m ** 0.5 * theta ** -0.5 * eye)
-            continue
-        sym, vals = _sym_eigvalsh(ms)
-        spd = sym and vals[0] > 0.0
-        in_bR = spd and vals[-1] <= R
-        in_aL = spd and 1.0 / vals[0] <= L
-        if in_aL and in_bR:
+        elif in_aL[i] and in_bR[i]:
             mats.append(np.linalg.inv(ms))
-        elif in_bR:
+        elif in_bR[i]:
             mats.append(np.linalg.inv(delta * theta ** 0.5 * eye + ms))
         else:
             mats.append(eye.copy())
@@ -167,21 +173,6 @@ class CouplingConstants:
         return self.epsilon <= 0.5
 
 
-def _cell_sets(component, L, R, m):
-    """Membership masks for the coupling sets, decided per cell."""
-    in_aL = np.zeros(component.size, dtype=bool)
-    in_bR = np.zeros(component.size, dtype=bool)
-    ms_op = np.zeros(component.size)
-    for i in range(component.size):
-        ms = component.Ms[i]
-        ms_op[i] = opnorm(ms)
-        sym, vals = _sym_eigvalsh(ms)
-        if sym and vals[0] > 0.0:
-            in_aL[i] = 1.0 / vals[0] <= L
-            in_bR[i] = vals[-1] <= R
-    return in_aL, in_bR, ms_op
-
-
 def compute_coupling_constants(component, coeffs, m, delta=None, L=None,
                                R=np.inf):
     """Constants of the contraction argument, on the discrete component.
@@ -196,14 +187,14 @@ def compute_coupling_constants(component, coeffs, m, delta=None, L=None,
         raise ValueError("coupling constants require inf supp > 0")
     a, w = component.a, component.w
     mb_op = np.array([opnorm(component.Mb[i]) for i in range(component.size)])
-    in_aL_inf, in_bR, ms_op = _cell_sets(component, np.inf, R, m)
+    ms_op = np.array([opnorm(component.Ms[i]) for i in range(component.size)])
     tail = a >= m
     tail_int = float(np.sum(w[tail] * a[tail] ** -0.5 * (1 + ms_op[tail]) ** 2))
     if delta is None:
         delta = m ** -0.5 * (tail_int + 1.0 / m) ** 0.5
     if L is None:
         L = (tail_int + 1.0 / m) ** -0.5
-    in_aL, in_bR, ms_op = _cell_sets(component, L, R, m)
+    in_aL, in_bR = _cell_sets(component, L, R)
     alpha = (delta * float(np.sum(w[~in_aL] * a[~in_aL] ** -0.5))
              + float(np.sum(w[~in_bR] * a[~in_bR] ** -1.0
                             * (1 + ms_op[~in_bR]) ** 2))

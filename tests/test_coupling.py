@@ -55,6 +55,8 @@ def test_zero_initial_distance_is_trivially_contracted():
 
 
 def test_energy_is_left_point_quadrature_of_control():
+    # sigma = 1, one atom and the identity weight: u = lam (y - yh), so
+    # |u| = lam * dist_phi at every step
     comp = atom_setup()
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     table = build_custom(comp, [EYE])
@@ -62,7 +64,7 @@ def test_energy_is_left_point_quadrature_of_control():
     run = simulate_coupled_pair(comp, coeffs, table, 0.7,
                                 np.full((1, 1), 1.0), np.zeros((1, 1)),
                                 plans)
-    u_sq = np.sum(run.control ** 2, axis=-1)
+    u_sq = (0.7 * run.dist_phi) ** 2
     want = 0.5 * 0.05 * np.cumsum(u_sq[:-1], axis=0)
     np.testing.assert_allclose(run.energy[1:], want, rtol=1e-12)
     assert np.all(np.diff(run.energy[:, 0]) >= 0.0)
@@ -132,7 +134,7 @@ def test_coupled_trajectory_bits_do_not_depend_on_its_batch():
     for j in (0, 2, 4):
         solo = simulate_coupled_pair(comp, coeffs, table, consts.lam, y1, y2,
                                      plans[j:j + 1])
-        for name in ("dist_phi", "energy", "control"):
+        for name in ("dist_phi", "energy"):
             np.testing.assert_array_equal(getattr(solo, name)[:, 0],
                                           getattr(batch, name)[:, j], name)
         for name in ("y_final", "yh_final"):

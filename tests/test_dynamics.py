@@ -15,6 +15,7 @@ from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
                                truncate_coefficients, volterra_weights)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
+from voltlift.quad import integrate_density
 
 EYE = np.eye(1)
 
@@ -245,8 +246,45 @@ def test_direct_scheme_tracks_lifted_scheme():
     plan = NoisePlan(seed=9, trajectory_index=0, h=0.005, T=2.0, d=1)
     lifted = simulate_lifted(comp, coeffs, np.zeros((1, 1)), plan)
     _, direct = simulate_volterra_direct(kernels, coeffs,
-                                         lambda t: np.zeros(1), plan)
-    assert np.max(np.abs(lifted.observables - direct)) < 0.05
+                                         lambda t: np.zeros(1), [plan])
+    assert np.max(np.abs(lifted.observables - direct[:, 0])) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_direct_trajectory_bits_do_not_depend_on_its_batch(n):
+    eye = np.eye(n)
+    ms = eye if n == 1 else np.array([[1.0, 0.3], [0.3, 1.0]])
+    basis = make_expsum_basis([(0.5, eye, ms), (2.0, 0.5 * eye, eye)])
+    kernels = (basis.closed_forms["drift"], basis.closed_forms["diffusion"])
+    coeffs = make_preset("tanh", scale=1.0, sigma0=0.5, n=n)
+
+    def forcing(t):
+        return np.full(n, np.cos(t))
+
+    plans = make_plans(4, 5, 0.01, 0.5, d=n)
+    _, batch = simulate_volterra_direct(kernels, coeffs, forcing, plans)
+    assert batch.shape == (51, 5, n)
+    for j in range(5):
+        _, solo = simulate_volterra_direct(kernels, coeffs, forcing,
+                                           plans[j:j + 1])
+        np.testing.assert_array_equal(solo[:, 0], batch[:, j])
+
+
+def test_volterra_weights_of_a_singular_kernel_match_qags():
+    # K_b(t) = t^(-1/2) e^(-t) / Gamma(1/2), K_s(t) = t^(-1/4) e^(-t) /
+    # Gamma(3/4): drift weights are integrals over each step, the first
+    # diffusion weight is the RMS of K_s over the first step
+    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 1.0)
+    k_b, k_s = basis.closed_forms["drift"], basis.closed_forms["diffusion"]
+    h, m = 1.0 / 16.0, 8
+    kb, ks = volterra_weights(k_b, k_s, h, m)
+    for ell in range(m):
+        want = integrate_density(lambda t: k_b(t)[0, 0], ell * h,
+                                 (ell + 1) * h)
+        assert kb[ell, 0, 0] == pytest.approx(want, rel=1e-12)
+    rms = math.sqrt(integrate_density(lambda t: k_s(t)[0, 0] ** 2, 0.0, h)
+                    / h)
+    assert ks[0, 0, 0] == pytest.approx(rms, rel=1e-12)
 
 
 def spot_check_coefficients(coeffs, seed=0, samples=1000, radius=5.0):

@@ -33,6 +33,11 @@ def test_expsum_closed_forms_agree_with_quadrature_path():
     for t in (0.2, 1.0, 4.0):
         assert basis.closed_forms[DRIFT](t)[0, 0] == pytest.approx(
             math.exp(-t), rel=1e-14)
+    # an array of times, given trailing matrix axes, maps to t.shape + (n, n)
+    t = np.array([0.2, 1.0, 4.0])
+    got = basis.closed_forms[DRIFT](t[:, None, None])
+    assert got.shape == (3, 1, 1)
+    np.testing.assert_allclose(got[:, 0, 0], np.exp(-t), rtol=1e-14)
 
 
 def test_expsum_rejects_bad_rates():
@@ -109,6 +114,11 @@ def test_tempered_fractional_constants_match_scipy_gamma(alpha):
             want = t ** (a - 1.0) * math.exp(-t) / gamma(a)
             assert basis.closed_forms[which](t)[0, 0] == pytest.approx(
                 want, rel=1e-15)
+        t = np.array([0.01, 1.0, 7.5])
+        got = basis.closed_forms[which](t[:, None, None])
+        assert got.shape == (3, 1, 1)
+        np.testing.assert_allclose(
+            got[:, 0, 0], t ** (a - 1.0) * np.exp(-t) / gamma(a), rtol=1e-15)
 
 
 def atoms_plus_tempered_fractional():
