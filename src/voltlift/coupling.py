@@ -20,8 +20,8 @@ from .weights import mu_sigma_phi, weighted_norms
 @dataclass(frozen=True)
 class CoupledRun:
     times: np.ndarray        # (M+1,)
-    dist_phi: np.ndarray     # (M+1,) or (M+1, n_traj)
-    energy: np.ndarray       # same shape; E(t) = 1/2 int |u|^2
+    dist_phi: np.ndarray     # (M+1, n_traj)
+    energy: np.ndarray       # (M+1, n_traj); E(t) = 1/2 int |u|^2
     y_final: np.ndarray      # (n_traj, I, n) Y_T, the uncontrolled copy
     yh_final: np.ndarray     # (n_traj, I, n) Yhat_T, the controlled copy
 
@@ -99,7 +99,7 @@ class ContractionReport:
     kl_budget: float
 
 
-def contraction_report(run, kappa, lam=None, c_ue=1.0):
+def contraction_report(run, kappa, lam, c_ue=1.0):
     """Fit the decay rate of the ensemble mean distance and check the
     exp(-kappa t / 2) envelope and the Girsanov energy budget, each to
     within three standard errors.
@@ -108,7 +108,7 @@ def contraction_report(run, kappa, lam=None, c_ue=1.0):
     C_UE * lam * Phi turns it into one half of the squared initial distance,
     so in raw units the bound is (C_UE * lam / 2) * dist(0)^2.
     """
-    dist = np.atleast_2d(run.dist_phi.T).T   # (M+1, n_traj)
+    dist = run.dist_phi
     n_traj = dist.shape[1]
     mean = dist.mean(axis=1)
     stderr = dist.std(axis=1, ddof=1) / np.sqrt(n_traj) if n_traj > 1 \
@@ -132,7 +132,7 @@ def contraction_report(run, kappa, lam=None, c_ue=1.0):
     energy_final = run.energy[-1].mean()
     energy_se = (run.energy[-1].std(ddof=1) / np.sqrt(n_traj)
                  if n_traj > 1 else 0.0)
-    budget = np.inf if lam is None else 0.5 * c_ue * lam * d0 ** 2
+    budget = 0.5 * c_ue * lam * d0 ** 2
     kl_ok = bool(energy_final <= budget + 3.0 * energy_se + 1e-30)
     return ContractionReport(r_hat=r_hat, contraction_ok=contraction_ok,
                              kl_ok=kl_ok, mean_dist=mean, stderr_dist=stderr,

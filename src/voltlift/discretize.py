@@ -146,13 +146,10 @@ def epsilon_k(basis, component):
     approximation errors (uncovered tail charged in full)."""
     if component.source is not basis:
         raise ValueError("component was not built from this basis")
-    disp = 0.0
-    for i in range(component.size):
-        if component.is_atom[i]:
-            continue
-        lo, hi, a = component.lo[i], component.hi[i], component.a[i]
-        # |theta - a| / (1 + theta) is piecewise monotone about a
-        disp = max(disp, abs(lo - a) / (1 + lo), abs(hi - a) / (1 + hi))
+    lo, hi, a = component.lo, component.hi, component.a
+    # |theta - a| / (1 + theta) is piecewise monotone about a
+    disp = np.max(np.maximum(abs(lo - a) / (1 + lo), abs(hi - a) / (1 + hi)),
+                  initial=0.0, where=~component.is_atom)
     e_b, e_s = _matrix_errors(basis, component)
     return disp + np.sqrt(e_b) + np.sqrt(e_s)
 

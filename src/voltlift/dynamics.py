@@ -239,9 +239,10 @@ def volterra_weights(k_b, k_s, h, m):
     Drift: KB_l = integral of K_b over ((l-1)h, lh), on the rule of
     ``quad.nodes``; K_b may be singular at 0+ but is locally integrable.
     Diffusion: left-point values K_s(l h) for l >= 2; the first weight is
-    the root-mean-square of K_s over (0, h) so the Ito isometry of the
-    first step is matched.  A kernel written for a scalar t is called on
-    t[..., None, None] and so broadcasts to t.shape + (n, n).
+    the symmetric square root of the mean of K_s K_s^T over (0, h), so the
+    Ito isometry of the first step is matched.  A kernel written for a
+    scalar t is called on t[..., None, None] and so broadcasts to
+    t.shape + (n, n).
     """
     def at(k, t):
         val = np.asarray(k(t[..., None, None]), dtype=float)
@@ -250,15 +251,11 @@ def volterra_weights(k_b, k_s, h, m):
     lo, hi = np.arange(m) * h, np.arange(1, m + 1) * h
     u, w = nodes(lo, hi)
     kb = np.einsum("ln,lnpq->lpq", w, at(k_b, lo[:, None] + u))
-    mean_sq = np.einsum("n,npq->pq", w[0], at(k_s, u[0]) ** 2) / h
-    first = (np.sqrt(np.maximum(mean_sq, 0.0)) if mean_sq.shape == (1, 1)
-             else _matrix_sqrt(mean_sq))
+    ks = at(k_s, u[0])
+    gram = ks @ np.swapaxes(ks, -1, -2)
+    vals, vecs = np.linalg.eigh(np.einsum("n,npq->pq", w[0], gram) / h)
+    first = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     return kb, np.concatenate([first[None], at(k_s, hi[1:])])
-
-
-def _matrix_sqrt(a):
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def simulate_volterra_direct(kernels, coeffs, forcing, plans):

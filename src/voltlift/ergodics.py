@@ -69,7 +69,7 @@ def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
     for i in range(n_boot):
         xa = pool[gen.choice(len(pool), size=len(a))]
         xb = pool[gen.choice(len(pool), size=len(b))]
-        vals[i] = _marginal_w1(xa, xb, seed=seed)
+        vals[i] = sliced_w1(xa, xb, seed=seed)
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 
@@ -92,12 +92,6 @@ def run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record_times,
         chunks.append(simulate_lifted_ensemble(
             component, coeffs, z0_chunk, plans, record_times=record_times)[1])
     return np.concatenate(chunks, axis=1)
-
-
-def _marginal_w1(samples_a, samples_b, seed=0):
-    if samples_a.shape[-1] == 1:
-        return wasserstein1_1d(samples_a, samples_b)
-    return sliced_w1(samples_a, samples_b, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,12 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
     ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h, T, times)
     ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
                         first_index=n_traj)
-    w1 = np.array([_marginal_w1(ens1[i], ens2[i], seed=seed)
-                   for i in range(len(times))])
 
-    def fit(sa, sb):
-        vals = np.array([_marginal_w1(sa[i], sb[i], seed=seed)
+    def marginal_w1(sa, sb):
+        return np.array([sliced_w1(sa[i], sb[i], seed=seed)
                          for i in range(len(times))])
+
+    def fit(vals):
         mask = vals > 0.0
         if mask.sum() < 2:
             return np.nan, np.nan
@@ -138,14 +132,15 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
                                   np.log(vals[mask]), 1)
         return -slope, icept
 
-    r_hat, intercept = fit(ens1, ens2)
+    w1 = marginal_w1(ens1, ens2)
+    r_hat, intercept = fit(w1)
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 2],
                                                             dtype=np.uint64)))
     boots = []
     for _ in range(n_boot):
         ia = gen.integers(0, n_traj, n_traj)
         ib = gen.integers(0, n_traj, n_traj)
-        r_b, _ = fit(ens1[:, ia], ens2[:, ib])
+        r_b, _ = fit(marginal_w1(ens1[:, ia], ens2[:, ib]))
         if np.isfinite(r_b):
             boots.append(r_b)
     r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
@@ -181,7 +176,7 @@ def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
     floors = np.empty(lags.size)
     for i in range(lags.size):
         cur = ens[i + 1]
-        w1[i] = _marginal_w1(ref, cur, seed=seed)
+        w1[i] = sliced_w1(ref, cur, seed=seed)
         floors[i] = noise_floor(ref, cur, n_boot=n_boot, seed=seed + i)
     return StationarityResult(lags=lags, w1=w1, floors=floors,
                               passed=w1 <= floors)
@@ -217,7 +212,7 @@ def lift_independence_test(basis_a, basis_b, coeffs, T, n_traj, k=64,
     x_a = run_ensemble(comp_a, coeffs, z0a, seed, n_traj, h, T, [T])[-1]
     x_b = run_ensemble(comp_b, coeffs, z0b, seed, n_traj, h, T, [T],
                        first_index=n_traj)[-1]
-    w1 = _marginal_w1(x_a, x_b, seed=seed)
+    w1 = sliced_w1(x_a, x_b, seed=seed)
     floor = noise_floor(x_a, x_b, seed=seed)
     bias = (epsilon_k(basis_a, comp_a) + epsilon_k(basis_b, comp_b))
     return LiftIndependenceResult(w1=float(w1), floor=float(floor),
@@ -237,9 +232,9 @@ class IpmTrend:
         return self.spearman > 0.0
 
 
-def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2,
-                    theta_max="auto"):
-    """W1 between each rung's stationary X-marginal and the finest rung's."""
+def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2):
+    """W1 between each rung's stationary X-marginal and the finest rung's,
+    each rung cut off at its automatic theta_max."""
     if len(ks) < 2:
         raise ValueError("ladder needs at least two rungs")
     ks = sorted(ks)
@@ -249,14 +244,13 @@ def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2,
     marginals = []
     eps = []
     for i, k in enumerate(ks):
-        comp = build_component(basis, k, theta_max)
+        comp = build_component(basis, k)
         eps.append(epsilon_k(basis, comp))
         z0 = np.zeros((comp.size, basis.n))
         marginals.append(run_ensemble(comp, coeffs, z0, seed, n_traj, h, T,
                                       [T], first_index=i * n_traj)[-1])
     finest = marginals[-1]
-    w1 = np.array([_marginal_w1(mk, finest, seed=seed)
-                   for mk in marginals[:-1]])
+    w1 = np.array([sliced_w1(mk, finest, seed=seed) for mk in marginals[:-1]])
     floor = noise_floor(finest, finest, seed=seed)
     return IpmTrend(ks=np.asarray(ks[:-1]), eps=np.asarray(eps[:-1]), w1=w1,
                     finest_floor=float(floor),

@@ -21,7 +21,6 @@ COND_GUARD = 1e12
 @dataclass(frozen=True)
 class WeightTable:
     Phi: np.ndarray          # (I, n, n) symmetric positive definite
-    tag: str
     C_phi: float             # smallest admissibility constant over the cells
     norm_op: np.ndarray      # (I, n, n) w_i Phi_i, for weighted_norms
     mu_op: np.ndarray        # (I, n, n) w_i M_s,i^T Phi_i, for mu_sigma_phi
@@ -40,32 +39,28 @@ def _sym_eigvalsh(mat):
     return sym, np.linalg.eigvalsh(0.5 * (mat + tr))
 
 
-def _assert_spd(mat, where):
-    sym, vals = _sym_eigvalsh(mat)
-    if not sym:
-        raise ValueError(f"{where}: matrix not symmetric")
-    if vals[0] <= 0.0:
-        raise ValueError(f"{where}: matrix not positive definite")
-    if vals[-1] / vals[0] > COND_GUARD:
-        raise ValueError(f"{where}: condition number above guard")
-    return vals
-
-
-def _finish_table(component, mats, tag):
-    c_phi = 0.0
-    for i, m in enumerate(mats):
-        vals = _assert_spd(m, f"{tag} cell {i}")
-        root = (1.0 + component.a[i]) ** 0.5
-        c_phi = max(c_phi, vals[-1] * root, 1.0 / (vals[0] * root))
-    phi = np.stack(mats)
+def _finish_table(component, phi, name):
+    """The table of a stack of cell matrices, each of which must be
+    symmetric positive definite with condition number at most COND_GUARD;
+    an error names the first cell that is not."""
+    sym, vals = _sym_eigvalsh(phi)
+    lo, hi = vals[:, 0], vals[:, -1]
+    bad = np.stack([~sym, lo <= 0.0, hi > COND_GUARD * lo])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        why = ("matrix not symmetric", "matrix not positive definite",
+               "condition number above guard")[int(np.argmax(bad[:, i]))]
+        raise ValueError(f"{name} cell {i}: {why}")
+    root = (1.0 + component.a) ** 0.5
     w = component.w[:, None, None]
-    return WeightTable(Phi=phi, tag=tag, C_phi=c_phi, norm_op=w * phi,
+    return WeightTable(Phi=phi, C_phi=float(max(np.max(hi * root),
+                                                np.max(1.0 / (lo * root)))),
+                       norm_op=w * phi,
                        mu_op=w * (np.swapaxes(component.Ms, -1, -2) @ phi))
 
 
-def build_custom(component, mats, tag="custom"):
-    return _finish_table(component, [np.atleast_2d(np.asarray(m, float))
-                                     for m in mats], tag)
+def build_custom(component, mats):
+    return _finish_table(component, np.array(mats, dtype=float), "custom")
 
 
 def _cell_sets(component, L, R):
@@ -78,52 +73,48 @@ def _cell_sets(component, L, R):
     return spd & (1.0 / low <= L), spd & (vals[:, -1] <= R)
 
 
-def build_phi_coupling(component, m, delta, L, R):
-    """Four-branch coupling weight decided per cell from M_sigma."""
+def _check_split(component, m, weight):
+    """inf supp of the component positive and below the split point m."""
     kappa = float(np.min(component.a))
     if kappa <= 0.0:
-        raise ValueError("coupling weight requires inf supp > 0")
+        raise ValueError(f"{weight} requires inf supp > 0")
     if m <= kappa:
         raise ValueError("m must exceed inf supp")
+
+
+def build_phi_coupling(component, m, delta, L, R):
+    """Four-branch coupling weight decided per cell from M_sigma: m^(1/2)
+    a^(-1/2) on the tail a >= m, else M_sigma^-1 on A_L and B_R,
+    (delta a^(1/2) + M_sigma)^-1 on B_R alone and the identity elsewhere."""
+    _check_split(component, m, "coupling weight")
     if delta <= 0.0 or L <= 0.0 or R <= 0.0:
         raise ValueError("delta, L, R must be positive")
-    eye = np.eye(component.n)
+    a, ms, eye = component.a, component.Ms, np.eye(component.n)
     in_aL, in_bR = _cell_sets(component, L, R)
-    mats = []
-    for i in range(component.size):
-        theta = component.a[i]
-        ms = component.Ms[i]
-        if theta >= m:
-            mats.append(m ** 0.5 * theta ** -0.5 * eye)
-        elif in_aL[i] and in_bR[i]:
-            mats.append(np.linalg.inv(ms))
-        elif in_bR[i]:
-            mats.append(np.linalg.inv(delta * theta ** 0.5 * eye + ms))
-        else:
-            mats.append(eye.copy())
-    return _finish_table(component, mats, f"coupling(m={m},delta={delta},"
-                                          f"L={L},R={R})")
+    tail = a >= m
+    phi = np.broadcast_to(eye, ms.shape).copy()
+    inv = in_aL & in_bR & ~tail
+    phi[inv] = np.linalg.inv(ms[inv])
+    shift = in_bR & ~in_aL & ~tail
+    phi[shift] = np.linalg.inv((delta * a[shift] ** 0.5)[:, None, None] * eye
+                               + ms[shift])
+    phi[tail] = (m ** 0.5 * a[tail] ** -0.5)[:, None, None] * eye
+    return _finish_table(component, phi, f"coupling(m={m},delta={delta},"
+                                         f"L={L},R={R})")
 
 
 def build_psi_lyapunov(component, m):
-    """Two-branch Lyapunov weight decided per cell from M_b."""
-    kappa = float(np.min(component.a))
-    if kappa <= 0.0:
-        raise ValueError("Lyapunov weight requires inf supp > 0")
-    if m <= kappa:
-        raise ValueError("m must exceed inf supp")
-    eye = np.eye(component.n)
-    mats = []
-    for i in range(component.size):
-        theta = component.a[i]
-        mb = component.Mb[i]
-        sym, vals = _sym_eigvalsh(mb)
-        in_am = (theta < m and sym and vals[0] >= 0.0 and vals[-1] <= m)
-        if in_am:
-            mats.append(np.linalg.inv(theta ** 0.5 / m * eye + mb))
-        else:
-            mats.append(theta ** -0.5 * eye)
-    return _finish_table(component, mats, f"lyapunov(m={m})")
+    """Two-branch Lyapunov weight decided per cell from M_b:
+    (a^(1/2) / m + M_b)^-1 on A_m, the cells a < m whose M_b is symmetric
+    with spectrum in [0, m], and a^(-1/2) elsewhere."""
+    _check_split(component, m, "Lyapunov weight")
+    a, mb, eye = component.a, component.Mb, np.eye(component.n)
+    sym, vals = _sym_eigvalsh(mb)
+    in_am = (a < m) & sym & (vals[:, 0] >= 0.0) & (vals[:, -1] <= m)
+    psi = (a ** -0.5)[:, None, None] * eye
+    psi[in_am] = np.linalg.inv((a[in_am] ** 0.5 / m)[:, None, None] * eye
+                               + mb[in_am])
+    return _finish_table(component, psi, f"lyapunov(m={m})")
 
 
 def weighted_norms(component, table, z):
@@ -186,8 +177,7 @@ def compute_coupling_constants(component, coeffs, m, delta=None, L=None,
     if kappa <= 0.0:
         raise ValueError("coupling constants require inf supp > 0")
     a, w = component.a, component.w
-    mb_op = np.array([opnorm(component.Mb[i]) for i in range(component.size)])
-    ms_op = np.array([opnorm(component.Ms[i]) for i in range(component.size)])
+    mb_op, ms_op = opnorm(component.Mb), opnorm(component.Ms)
     tail = a >= m
     tail_int = float(np.sum(w[tail] * a[tail] ** -0.5 * (1 + ms_op[tail]) ** 2))
     if delta is None:

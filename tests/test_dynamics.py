@@ -238,6 +238,14 @@ def test_volterra_weights_first_diffusion_is_rms():
     assert ks[1, 0, 0] == pytest.approx(math.sqrt(0.16), rel=1e-12)
 
 
+def test_volterra_weights_first_diffusion_matches_ks_ks_transpose():
+    # a constant K_s: the first weight W must satisfy W W^T = K_s K_s^T
+    k_s = np.array([[1.0, 0.3], [0.3, 1.0]])
+    _, ks = volterra_weights(lambda t: np.eye(2), lambda t: k_s, h=0.1, m=3)
+    np.testing.assert_allclose(ks[0] @ ks[0].T, k_s @ k_s.T, rtol=0.0,
+                               atol=1e-12)
+
+
 def test_direct_scheme_tracks_lifted_scheme():
     basis = make_expsum_basis([(1.0, EYE, EYE)])
     comp = build_component(basis, 1, theta_max=2.0)

@@ -30,10 +30,11 @@ def test_custom_rejects_bad_matrices():
     comp = atom_component((1.0,))
     with pytest.raises(ValueError):
         build_custom(comp, [-EYE])
-    comp2 = atom_component((1.0, 2.0))
-    with pytest.raises(ValueError):
-        build_custom(comp2, [np.array([[1.0, 0.5], [0.0, 1.0]]),
-                             np.eye(2)])
+    comp2 = build_component(make_expsum_basis(
+        [(1.0, np.eye(2), np.eye(2)), (2.0, np.eye(2), np.eye(2))]), 2,
+        theta_max=3.0)
+    with pytest.raises(ValueError, match="cell 1"):
+        build_custom(comp2, [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
 
 
 def test_weighted_norms_hand_computed():
@@ -67,6 +68,32 @@ def test_coupling_weight_four_branches():
         1.0 / (0.5 * np.sqrt(2.0) + 0.1))                       # shifted
     assert table.Phi[2, 0, 0] == pytest.approx(1.0)             # identity
     assert table.Phi[3, 0, 0] == pytest.approx(np.sqrt(10.0 / 50.0))
+
+
+def test_weight_tables_branch_by_branch_at_n2():
+    ms = [np.array([[2.0, 0.5], [0.5, 1.5]]),    # in A_L and B_R
+          np.array([[0.2, 0.05], [0.05, 0.1]]),  # B_R only: 1/lambda_min > L
+          np.array([[1.0, 0.4], [-0.2, 1.0]]),   # not symmetric
+          np.eye(2)]                             # tail a >= m
+    mb = [np.array([[1.0, 0.2], [0.2, 0.5]]),    # in A_m
+          np.array([[1.0, 0.5], [0.0, 1.0]]),    # not symmetric
+          np.diag([20.0, 1.0]),                  # spectrum above m
+          np.eye(2)]                             # a >= m
+    rates = [1.0, 2.0, 3.0, 50.0]
+    comp = build_component(make_expsum_basis(list(zip(rates, mb, ms))), 4,
+                           theta_max=100.0)
+    m, delta, eye = 10.0, 0.5, np.eye(2)
+    phi = build_phi_coupling(comp, m=m, delta=delta, L=4.0, R=100.0).Phi
+    psi = build_psi_lyapunov(comp, m=m).Phi
+    want_phi = [np.linalg.inv(ms[0]),
+                np.linalg.inv(delta * np.sqrt(2.0) * eye + ms[1]),
+                eye,
+                np.sqrt(m / 50.0) * eye]
+    want_psi = [np.linalg.inv(1.0 / m * eye + mb[0])] + [
+        eye / np.sqrt(a) for a in rates[1:]]
+    for i in range(4):
+        np.testing.assert_allclose(phi[i], want_phi[i], rtol=1e-14)
+        np.testing.assert_allclose(psi[i], want_psi[i], rtol=1e-14)
 
 
 def test_coupling_weight_validates_arguments():
