@@ -294,16 +294,14 @@ def _coupling(cfg, basis, coeffs, out_dir):
                                     plans)
     rep = cpl.contraction_report(run, inf_support(basis), lam=lam,
                                  c_ue=coeffs.C_UE or 1.0)
-    rows = [(component.size, float(t), float(rep.mean_dist[i]),
-             float(rep.stderr_dist[i]), float(rep.envelope[i]))
-            for i, t in enumerate(run.times)]
+    rows = [(component.size, float(t), float(mu), float(se), float(env))
+            for t, mu, se, env in zip(run.times, run.mean_dist,
+                                      run.stderr_dist, rep.envelope)]
     # d_{Phi,Psi} at both ends of the horizon: its ratio is the Harris
     # contraction factor the coupling achieves by time T
     d0 = float(distance_dphipsi(y1, y2, component, table, psi))
-    d_end = distance_dphipsi(run.y_final, run.yh_final, component, table, psi)
-    d_mean = float(d_end.mean())
-    d_se = (float(d_end.std(ddof=1) / np.sqrt(d_end.size)) if d_end.size > 1
-            else 0.0)
+    d_mean, d_se = map(float, cpl.mean_stderr(distance_dphipsi(
+        run.y_final, run.yh_final, component, table, psi)))
     return rows, dict(epsilon=consts.epsilon, certified=consts.certified,
                       lam=lam, r_hat=rep.r_hat,
                       bounds={"contraction": rep.contraction_ok,

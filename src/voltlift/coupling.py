@@ -20,20 +20,34 @@ from .weights import mu_sigma_phi, weighted_norms
 @dataclass(frozen=True)
 class CoupledRun:
     times: np.ndarray        # (M+1,)
-    dist_phi: np.ndarray     # (M+1, n_traj)
-    energy: np.ndarray       # (M+1, n_traj); E(t) = 1/2 int |u|^2
+    mean_dist: np.ndarray    # (M+1,) ensemble mean of the Phi-distance
+    stderr_dist: np.ndarray  # (M+1,) its standard error
+    energy: np.ndarray       # (n_traj,) E(T) = 1/2 int_0^T |u|^2
     y_final: np.ndarray      # (n_traj, I, n) Y_T, the uncontrolled copy
     yh_final: np.ndarray     # (n_traj, I, n) Yhat_T, the controlled copy
+
+
+def mean_stderr(samples):
+    """Mean and standard error (ddof=1; 0 for one sample), last axis."""
+    n = samples.shape[-1]
+    return samples.mean(axis=-1), (samples.std(axis=-1, ddof=1) / np.sqrt(n)
+                                   if n > 1 else np.zeros(samples.shape[:-1]))
+
+
+def _gap(component, table, y, yh):
+    """mu_{sigma,Phi}[y - yh], (n, n_traj), and |y - yh|_Phi, (n_traj,)."""
+    diff = _by_trajectory(component, y - yh)
+    return (mu_sigma_phi(component, table, diff).T,
+            weighted_norms(component, table, diff))
 
 
 def _coupled_step(component, coeffs, table, ops, y, yh, x, xh, v, dw):
     """Advance both trajectory-last copies on the shared dw (the second with
     the control drift lam * M_s v, the control block of ops.forcing); return
-    them and the new mu_{sigma,Phi}[y - yh], (n, n_traj)."""
+    them and their new _gap."""
     y, x = lifted_step(ops, coeffs, y, x, dw)
     yh, xh = lifted_step(ops, coeffs, yh, xh, dw, v)
-    return y, yh, x, xh, mu_sigma_phi(
-        component, table, _by_trajectory(component, y - yh)).T
+    return (y, yh, x, xh) + _gap(component, table, y, yh)
 
 
 def _control(coeffs, xh, v, lam):
@@ -66,23 +80,20 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     y, x = _initial_states(ops, y1, len(batch))
     yh, xh = _initial_states(ops, y2, len(batch))
 
-    times = np.arange(m + 1) * h
-    dist = np.empty((m + 1, n_traj))
-    energy = np.empty((m + 1, n_traj))
-    diff = _by_trajectory(component, y - yh)
-    dist[0] = weighted_norms(component, table, diff)[:n_traj]
-    v = mu_sigma_phi(component, table, diff).T
-    energy[0] = 0.0
+    mean, stderr = np.empty(m + 1), np.empty(m + 1)
+    v, dist = _gap(component, table, y, yh)
+    mean[0], stderr[0] = mean_stderr(dist[:n_traj])
+    energy = np.zeros(n_traj)
     for step, dw in enumerate(_stacked_increments(batch), start=1):
         # left-point quadrature of the control energy
         u = _control(coeffs, xh, v, lam)[:n_traj]
-        energy[step] = energy[step - 1] + 0.5 * h * np.sum(u ** 2, axis=-1)
-        y, yh, x, xh, v = _coupled_step(component, coeffs, table, ops, y, yh,
-                                        x, xh, v, dw)
+        energy += 0.5 * h * np.sum(u ** 2, axis=-1)
+        y, yh, x, xh, v, dist = _coupled_step(component, coeffs, table, ops,
+                                              y, yh, x, xh, v, dw)
         _check_finite("coupled", step, batch, y, yh)
-        dist[step] = weighted_norms(
-            component, table, _by_trajectory(component, y - yh))[:n_traj]
-    return CoupledRun(times=times, dist_phi=dist, energy=energy,
+        mean[step], stderr[step] = mean_stderr(dist[:n_traj])
+    return CoupledRun(times=np.arange(m + 1) * h, mean_dist=mean,
+                      stderr_dist=stderr, energy=energy,
                       y_final=_by_trajectory(component, y)[:n_traj].copy(),
                       yh_final=_by_trajectory(component, yh)[:n_traj].copy())
 
@@ -92,8 +103,6 @@ class ContractionReport:
     r_hat: float | None
     contraction_ok: bool
     kl_ok: bool
-    mean_dist: np.ndarray
-    stderr_dist: np.ndarray
     envelope: np.ndarray
     mean_energy_final: float
     kl_budget: float
@@ -108,11 +117,7 @@ def contraction_report(run, kappa, lam, c_ue=1.0):
     C_UE * lam * Phi turns it into one half of the squared initial distance,
     so in raw units the bound is (C_UE * lam / 2) * dist(0)^2.
     """
-    dist = run.dist_phi
-    n_traj = dist.shape[1]
-    mean = dist.mean(axis=1)
-    stderr = dist.std(axis=1, ddof=1) / np.sqrt(n_traj) if n_traj > 1 \
-        else np.zeros_like(mean)
+    mean, stderr = run.mean_dist, run.stderr_dist
     d0 = mean[0]
     envelope = np.exp(-0.5 * kappa * run.times) * d0
 
@@ -129,14 +134,11 @@ def contraction_report(run, kappa, lam, c_ue=1.0):
             slope, _ = np.polyfit(t_fit, np.log(mean[mask]), 1)
             r_hat = -float(slope)
 
-    energy_final = run.energy[-1].mean()
-    energy_se = (run.energy[-1].std(ddof=1) / np.sqrt(n_traj)
-                 if n_traj > 1 else 0.0)
+    energy_final, energy_se = mean_stderr(run.energy)
     budget = 0.5 * c_ue * lam * d0 ** 2
     kl_ok = bool(energy_final <= budget + 3.0 * energy_se + 1e-30)
     return ContractionReport(r_hat=r_hat, contraction_ok=contraction_ok,
-                             kl_ok=kl_ok, mean_dist=mean, stderr_dist=stderr,
-                             envelope=envelope,
+                             kl_ok=kl_ok, envelope=envelope,
                              mean_energy_final=float(energy_final),
                              kl_budget=float(budget))
 

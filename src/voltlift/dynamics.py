@@ -82,10 +82,20 @@ class NoisePlan:
 
 
 def _stacked_increments(plans):
-    """Yield each step's (n_traj, d) increments for equal-shape plans, drawing
-    every trajectory's Philox stream in blocks of NOISE_BLOCK_STEPS steps:
-    the values of one NoisePlan.increments draw; memory is flat in T."""
-    m, d, scale = plans[0].n_steps, plans[0].d, math.sqrt(plans[0].h)
+    """Yield each step's (n_traj, d) increments for plans of one (h, T, d),
+    drawing every trajectory's Philox stream in blocks of NOISE_BLOCK_STEPS
+    steps: the values of one NoisePlan.increments draw; memory is flat in T.
+    Every integrator steps its batch on these, so a plan that disagrees is
+    rejected here."""
+    first = plans[0]
+    shape = (first.h, first.T, first.d)
+    for p in plans:
+        if (p.h, p.T, p.d) != shape:
+            raise ValueError(
+                f"trajectory {p.trajectory_index}: (h, T, d) = "
+                f"{(p.h, p.T, p.d)} differs from {shape}, trajectory "
+                f"{first.trajectory_index}'s; a batch is stepped together")
+    m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
     gens = [p.generator() for p in plans]
     for start in range(0, m, NOISE_BLOCK_STEPS):
         block = np.empty((len(plans), min(NOISE_BLOCK_STEPS, m - start), d))

@@ -75,10 +75,12 @@ def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
 
 def run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record_times,
                  first_index=0):
-    """X at record_times, shape (n_rec, n_traj, n), of the trajectories
-    first_index, ..., first_index + n_traj - 1 of seed, started from z0
-    (one state, or one per trajectory).  They run in chunks of CHUNK, one
-    after another; a trajectory's bits do not depend on its chunk."""
+    """(times, X): the simulated record times, each a whole number of steps
+    (see simulate_lifted_ensemble), and X there, shape (n_rec, n_traj, n),
+    of the trajectories first_index, ..., first_index + n_traj - 1 of seed,
+    started from z0 (one state, or one per trajectory).  They run in chunks
+    of CHUNK, one after another; a trajectory's bits do not depend on its
+    chunk."""
     z0 = np.asarray(z0)
     if z0.ndim == 3 and len(z0) != n_traj:
         raise ValueError(f"z0 holds {len(z0)} initial states for "
@@ -89,9 +91,10 @@ def run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record_times,
         plans = make_plans(seed, count, h, T, d=coeffs.d,
                            first_index=first_index + start)
         z0_chunk = z0[start:start + count] if z0.ndim == 3 else z0
-        chunks.append(simulate_lifted_ensemble(
-            component, coeffs, z0_chunk, plans, record_times=record_times)[1])
-    return np.concatenate(chunks, axis=1)
+        rec_times, x, _ = simulate_lifted_ensemble(
+            component, coeffs, z0_chunk, plans, record_times=record_times)
+        chunks.append(x)
+    return rec_times, np.concatenate(chunks, axis=1)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ class DecayFit:
 def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
                   n_boot=100):
     """W1(t) between the X-marginals of two ensembles started at y1, y2,
-    with a log-linear decay fit and a bootstrap standard error for the rate."""
+    with a log-linear decay fit and a bootstrap standard error for the rate.
+    Both are at the simulated times: each of times rounded to a step."""
     if n_traj < 2:
         raise ValueError("need at least two trajectories")
     if component.source is not None:
@@ -116,9 +120,10 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
             warnings.warn("Lyapunov sufficiency check failed; the decay fit "
                           "may not stabilize", stacklevel=2)
     T = max(times)
-    ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h, T, times)
-    ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
-                        first_index=n_traj)
+    times, ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h, T,
+                               times)
+    _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
+                           first_index=n_traj)
 
     def marginal_w1(sa, sb):
         return np.array([sliced_w1(sa[i], sb[i], seed=seed)
@@ -128,8 +133,7 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
         mask = vals > 0.0
         if mask.sum() < 2:
             return np.nan, np.nan
-        slope, icept = np.polyfit(np.asarray(times)[mask],
-                                  np.log(vals[mask]), 1)
+        slope, icept = np.polyfit(times[mask], np.log(vals[mask]), 1)
         return -slope, icept
 
     w1 = marginal_w1(ens1, ens2)
@@ -144,7 +148,7 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
         if np.isfinite(r_b):
             boots.append(r_b)
     r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
-    return DecayFit(times=np.asarray(times, float), w1=w1, r_hat=float(r_hat),
+    return DecayFit(times=times, w1=w1, r_hat=float(r_hat),
                     intercept=float(intercept), r_stderr=r_se)
 
 
@@ -170,7 +174,7 @@ def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
     lags = np.asarray(sorted(lags), dtype=float)
     record = [burn_in] + [burn_in + l for l in lags]
     T = record[-1]
-    ens = run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record)
+    _, ens = run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record)
     ref = ens[0]
     w1 = np.empty(lags.size)
     floors = np.empty(lags.size)
@@ -209,9 +213,9 @@ def lift_independence_test(basis_a, basis_b, coeffs, T, n_traj, k=64,
     comp_b = build_component(basis_b, k, theta_max)
     z0a = np.zeros((comp_a.size, basis_a.n))
     z0b = np.zeros((comp_b.size, basis_b.n))
-    x_a = run_ensemble(comp_a, coeffs, z0a, seed, n_traj, h, T, [T])[-1]
+    x_a = run_ensemble(comp_a, coeffs, z0a, seed, n_traj, h, T, [T])[1][-1]
     x_b = run_ensemble(comp_b, coeffs, z0b, seed, n_traj, h, T, [T],
-                       first_index=n_traj)[-1]
+                       first_index=n_traj)[1][-1]
     w1 = sliced_w1(x_a, x_b, seed=seed)
     floor = noise_floor(x_a, x_b, seed=seed)
     bias = (epsilon_k(basis_a, comp_a) + epsilon_k(basis_b, comp_b))
@@ -248,7 +252,7 @@ def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2):
         eps.append(epsilon_k(basis, comp))
         z0 = np.zeros((comp.size, basis.n))
         marginals.append(run_ensemble(comp, coeffs, z0, seed, n_traj, h, T,
-                                      [T], first_index=i * n_traj)[-1])
+                                      [T], first_index=i * n_traj)[1][-1])
     finest = marginals[-1]
     w1 = np.array([sliced_w1(mk, finest, seed=seed) for mk in marginals[:-1]])
     floor = noise_floor(finest, finest, seed=seed)

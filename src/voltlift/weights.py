@@ -43,6 +43,11 @@ def _finish_table(component, phi, name):
     """The table of a stack of cell matrices, each of which must be
     symmetric positive definite with condition number at most COND_GUARD;
     an error names the first cell that is not."""
+    size, n = component.size, component.n
+    if phi.shape != (size, n, n):
+        raise ValueError(f"{name}: the component has {size} cells of "
+                         f"dimension {n}, so the table needs {size} "
+                         f"({n}, {n}) matrices; got shape {phi.shape}")
     sym, vals = _sym_eigvalsh(phi)
     lo, hi = vals[:, 0], vals[:, -1]
     bad = np.stack([~sym, lo <= 0.0, hi > COND_GUARD * lo])

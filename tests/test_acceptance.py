@@ -94,8 +94,8 @@ def test_criterion_04_ou_stationary_variance():
     comp = build_component(basis, 1, theta_max=2.0)
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     n = 8192
-    ens = run_ensemble(comp, coeffs, np.zeros((1, 1)), seed=1, n_traj=n,
-                       h=1e-2, T=50.0, record_times=[50.0])
+    _, ens = run_ensemble(comp, coeffs, np.zeros((1, 1)), seed=1, n_traj=n,
+                          h=1e-2, T=50.0, record_times=[50.0])
     var = float(ens[-1][:, 0].var(ddof=1))
     se = var * np.sqrt(2.0 / n)
     elapsed = time.perf_counter() - t0
@@ -167,10 +167,10 @@ def test_criterion_07_ergodic_decay():
     times2 = np.linspace(0.5, 6.0, 8)
     fit2 = ergodic_decay(comp, well, np.full((1, 1), 2.0),
                          np.zeros((1, 1)), 4096, times2, seed=12, h=1e-2)
-    e1 = run_ensemble(comp, well, np.full((1, 1), 2.0), 12, 4096, 1e-2,
-                      6.0, [6.0])
-    e2 = run_ensemble(comp, well, np.zeros((1, 1)), 12, 4096, 1e-2, 6.0,
-                      [6.0], first_index=4096)
+    _, e1 = run_ensemble(comp, well, np.full((1, 1), 2.0), 12, 4096, 1e-2,
+                         6.0, [6.0])
+    _, e2 = run_ensemble(comp, well, np.zeros((1, 1)), 12, 4096, 1e-2, 6.0,
+                         [6.0], first_index=4096)
     floor = noise_floor(e1[-1], e2[-1], seed=5)
     assert fit2.r_hat > 0.0
     assert fit2.w1[-1] <= floor

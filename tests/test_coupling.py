@@ -9,7 +9,8 @@ from voltlift.cli import _build_inputs, main, resolve_config
 from voltlift.coupling import (_control, contraction_report,
                                simulate_coupled_pair)
 from voltlift.discretize import build_component
-from voltlift.dynamics import CoefficientModel, make_plans, make_preset
+from voltlift.dynamics import (CoefficientModel, NoisePlan, make_plans,
+                               make_preset)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
 from voltlift.weights import (build_custom, build_phi_coupling,
@@ -51,28 +52,32 @@ def test_zero_initial_distance_is_trivially_contracted():
     rep = contraction_report(run, kappa=1.0, lam=1.0)
     assert rep.r_hat is None
     assert rep.contraction_ok
-    assert np.all(run.dist_phi <= 1e-12)
+    assert np.all(run.mean_dist <= 1e-12)
 
 
 def test_energy_is_left_point_quadrature_of_control():
     # sigma = 1, one atom and the identity weight: u = lam (y - yh), so
-    # |u| = lam * dist_phi at every step
+    # |u| = lam * dist at every step; a single trajectory's mean distance
+    # is its distance, and its standard error is zero
     comp = atom_setup()
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     table = build_custom(comp, [EYE])
-    plans = make_plans(2, 1, 0.05, 0.5, d=1)
-    run = simulate_coupled_pair(comp, coeffs, table, 0.7,
-                                np.full((1, 1), 1.0), np.zeros((1, 1)),
-                                plans)
-    u_sq = (0.7 * run.dist_phi) ** 2
-    want = 0.5 * 0.05 * np.cumsum(u_sq[:-1], axis=0)
-    np.testing.assert_allclose(run.energy[1:], want, rtol=1e-12)
-    assert np.all(np.diff(run.energy[:, 0]) >= 0.0)
+    energies = []
+    for T in (0.25, 0.5):
+        run = simulate_coupled_pair(comp, coeffs, table, 0.7,
+                                    np.full((1, 1), 1.0), np.zeros((1, 1)),
+                                    make_plans(2, 1, 0.05, T, d=1))
+        assert np.all(run.stderr_dist == 0.0)
+        u_sq = (0.7 * run.mean_dist) ** 2
+        want = 0.5 * 0.05 * np.sum(u_sq[:-1])
+        np.testing.assert_allclose(run.energy, [want], rtol=1e-12)
+        energies.append(run.energy[0])
+    assert 0.0 < energies[0] <= energies[1]
 
 
 def test_common_noise_cancels_for_constant_sigma():
     # with additive noise the difference process is deterministic, so every
-    # trajectory reports the same distance curve
+    # trajectory reports the same distance curve: no spread across them
     comp = atom_setup()
     coeffs = make_preset("linear", beta=0.0, sigma0=1.0)
     table = build_custom(comp, [EYE])
@@ -80,8 +85,8 @@ def test_common_noise_cancels_for_constant_sigma():
     run = simulate_coupled_pair(comp, coeffs, table, 1.0,
                                 np.full((1, 1), 0.2), np.zeros((1, 1)),
                                 plans)
-    spread = run.dist_phi.max(axis=1) - run.dist_phi.min(axis=1)
-    assert np.max(spread) < 1e-14
+    assert run.mean_dist[0] == pytest.approx(0.2, rel=1e-15)
+    assert np.max(run.stderr_dist) < 1e-14
 
 
 def test_degenerate_diffusion_aborts():
@@ -134,12 +139,19 @@ def test_coupled_trajectory_bits_do_not_depend_on_its_batch():
     for j in (0, 2, 4):
         solo = simulate_coupled_pair(comp, coeffs, table, consts.lam, y1, y2,
                                      plans[j:j + 1])
-        for name in ("dist_phi", "energy"):
-            np.testing.assert_array_equal(getattr(solo, name)[:, 0],
-                                          getattr(batch, name)[:, j], name)
-        for name in ("y_final", "yh_final"):
+        for name in ("energy", "y_final", "yh_final"):
             np.testing.assert_array_equal(getattr(solo, name)[0],
                                           getattr(batch, name)[j], name)
+
+
+def test_coupled_pair_rejects_plans_of_another_shape():
+    comp = atom_setup()
+    coeffs = make_preset("linear")
+    table = build_custom(comp, [EYE])
+    plans = make_plans(0, 2, 0.01, 1.0, d=1) + [NoisePlan(0, 2, 0.5, 1.0)]
+    with pytest.raises(ValueError, match="trajectory 2"):
+        simulate_coupled_pair(comp, coeffs, table, 1.0, np.ones((1, 1)),
+                              np.zeros((1, 1)), plans)
 
 
 def test_invalid_gain_rejected():
@@ -162,7 +174,7 @@ def test_kl_budget_arithmetic():
                                 np.full((1, 1), 0.5), np.zeros((1, 1)),
                                 plans)
     rep = contraction_report(run, kappa=1.0, lam=lam, c_ue=1.0)
-    d0 = rep.mean_dist[0]
+    d0 = run.mean_dist[0]
     assert rep.kl_budget == pytest.approx(0.5 * lam * d0 ** 2, rel=1e-12)
     assert isinstance(rep.kl_ok, bool)
     assert rep.mean_energy_final >= 0.0
@@ -200,10 +212,11 @@ def test_final_states_are_the_last_step():
     run = simulate_coupled_pair(comp, coeffs, table, 1.0,
                                 np.full((1, 1), 0.4), np.zeros((1, 1)), plans)
     assert run.y_final.shape == run.yh_final.shape == (3, 1, 1)
-    # the last recorded distance is the weighted norm of the final gap
-    np.testing.assert_allclose(
-        run.dist_phi[-1], np.abs(run.y_final - run.yh_final)[:, 0, 0],
-        rtol=1e-14)
+    # the last recorded distance is the mean weighted norm of the final gap
+    gap = np.abs(run.y_final - run.yh_final)[:, 0, 0]
+    np.testing.assert_allclose(run.mean_dist[-1], gap.mean(), rtol=1e-14)
+    np.testing.assert_allclose(run.stderr_dist[-1],
+                               gap.std(ddof=1) / np.sqrt(3), rtol=1e-14)
 
 
 def test_verdict_ratio_is_null_at_zero_initial_distance(tmp_path):

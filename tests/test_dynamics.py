@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
                                _stacked_increments, lifted_step, make_plans,
@@ -16,6 +17,7 @@ from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
 from voltlift.quad import integrate_density
+from voltlift.weights import build_custom
 
 EYE = np.eye(1)
 
@@ -190,6 +192,40 @@ def test_ensemble_memory_bounded_in_horizon():
             tracemalloc.stop()
 
     assert peak(200.0) <= 1.5 * peak(20.0)
+
+
+def test_coupled_pair_memory_bounded_in_horizon():
+    # what grows with T is only the (M+1,) per-step statistics; 256
+    # trajectories keep them small against the per-step work arrays
+    basis = make_expsum_basis([(1.0, EYE, EYE)])
+    comp = build_component(basis, 1, theta_max=2.0)
+    coeffs = make_preset("tanh", scale=0.5, sigma0=1.0)
+    table = build_custom(comp, [EYE])
+
+    def peak(T):
+        plans = make_plans(0, 256, 0.05, T, d=1)
+        tracemalloc.start()
+        try:
+            simulate_coupled_pair(comp, coeffs, table, 1.0, np.ones((1, 1)),
+                                  np.zeros((1, 1)), plans)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200.0) <= 1.5 * peak(20.0)
+
+
+def test_ensemble_rejects_plans_of_another_shape():
+    # every plan is stepped with the first plan's h and step count, so a
+    # longer or coarser plan would be cut short or stepped at the wrong h
+    basis = make_expsum_basis([(1.0, EYE, EYE)])
+    comp = build_component(basis, 1, theta_max=2.0)
+    coeffs = make_preset("linear")
+    for odd in (NoisePlan(0, 3, 0.01, 3.0), NoisePlan(0, 3, 0.5, 1.0),
+                NoisePlan(0, 3, 0.01, 1.0, d=2)):
+        plans = make_plans(0, 3, 0.01, 1.0) + [odd]
+        with pytest.raises(ValueError, match="trajectory 3"):
+            simulate_lifted_ensemble(comp, coeffs, np.zeros((1, 1)), plans)
 
 
 def test_nan_abort_reports_step():

@@ -116,18 +116,19 @@ def test_run_ensemble_chunk_invariance():
     # gives the same bits
     comp, coeffs = ou_setup()
     z0, rec = np.zeros((1, 1)), [0.5, 1.0]
-    chunked = run_ensemble(comp, coeffs, z0, seed=4, n_traj=2048, h=0.05,
-                           T=1.0, record_times=rec)
-    _, whole, _ = simulate_lifted_ensemble(
+    times, chunked = run_ensemble(comp, coeffs, z0, seed=4, n_traj=2048,
+                                  h=0.05, T=1.0, record_times=rec)
+    want_times, whole, _ = simulate_lifted_ensemble(
         comp, coeffs, z0, make_plans(4, 2048, 0.05, 1.0), record_times=rec)
+    np.testing.assert_array_equal(times, want_times)
     np.testing.assert_array_equal(chunked, whole)
 
 
 def test_run_ensemble_per_trajectory_initial_states():
     comp, coeffs = ou_setup()
     z0 = np.arange(6, dtype=float).reshape(6, 1, 1)
-    ens = run_ensemble(comp, coeffs, z0, seed=0, n_traj=6, h=0.5, T=0.5,
-                       record_times=[0.0])
+    _, ens = run_ensemble(comp, coeffs, z0, seed=0, n_traj=6, h=0.5, T=0.5,
+                          record_times=[0.0])
     np.testing.assert_allclose(ens[0, :, 0], np.arange(6.0))
     # without the check the second chunk would broadcast its one row
     with pytest.raises(ValueError, match="1025 initial states for 2048"):
@@ -143,6 +144,17 @@ def test_ergodic_decay_ou_rate():
                         n_boot=40)
     assert abs(fit.r_hat - 1.0) <= 3.0 * fit.r_stderr
     assert np.all(fit.w1 > 0.0)
+
+
+def test_ergodic_decay_reports_and_fits_the_simulated_times():
+    # 0.013 is not a whole number of steps of 0.01: the integrator records
+    # X at step 1, t = 0.01, so the rows and the fit take that time
+    comp, coeffs = ou_setup()
+    fit = ergodic_decay(comp, coeffs, np.full((1, 1), 1.0), np.zeros((1, 1)),
+                        64, [0.013, 0.02], seed=0, h=0.01, n_boot=5)
+    np.testing.assert_array_equal(fit.times, [0.01, 0.02])
+    slope = (np.log(fit.w1[1]) - np.log(fit.w1[0])) / (0.02 - 0.01)
+    assert fit.r_hat == pytest.approx(-slope, rel=1e-9)
 
 
 def test_ergodic_decay_warns_without_lyapunov():

@@ -37,6 +37,15 @@ def test_custom_rejects_bad_matrices():
         build_custom(comp2, [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
 
 
+def test_custom_rejects_a_list_short_of_the_cells():
+    # one matrix for a two-cell component would broadcast over both cells
+    comp = atom_component((1.0, 3.0))
+    with pytest.raises(ValueError, match="2 cells"):
+        build_custom(comp, [2.0 * EYE])
+    with pytest.raises(ValueError, match="2 cells"):
+        build_custom(comp, [np.eye(2), np.eye(2)])
+
+
 def test_weighted_norms_hand_computed():
     comp = atom_component((1.0, 3.0))
     table = build_custom(comp, [2.0 * EYE, 0.5 * EYE])
