@@ -120,8 +120,8 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
             warnings.warn("Lyapunov sufficiency check failed; the decay fit "
                           "may not stabilize", stacklevel=2)
     T = max(times)
-    times, ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h, T,
-                               times)
+    sim_times, ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h,
+                                   T, times)
     _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
                            first_index=n_traj)
 
@@ -133,7 +133,7 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
         mask = vals > 0.0
         if mask.sum() < 2:
             return np.nan, np.nan
-        slope, icept = np.polyfit(times[mask], np.log(vals[mask]), 1)
+        slope, icept = np.polyfit(sim_times[mask], np.log(vals[mask]), 1)
         return -slope, icept
 
     w1 = marginal_w1(ens1, ens2)
@@ -148,7 +148,7 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
         if np.isfinite(r_b):
             boots.append(r_b)
     r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
-    return DecayFit(times=times, w1=w1, r_hat=float(r_hat),
+    return DecayFit(times=sim_times, w1=w1, r_hat=float(r_hat),
                     intercept=float(intercept), r_stderr=r_se)
 
 
