@@ -19,6 +19,13 @@ from .quad import nodes
 
 DRIFT_FACTOR_CUTOFF = 1e-8
 NOISE_BLOCK_STEPS = 256
+DIAGNOSTIC_STREAM = 2 ** 63
+
+
+def keyed_generator(seed, stream):
+    """The Philox generator keyed (seed, stream): trajectory j of a seed
+    draws stream j < DIAGNOSTIC_STREAM, a diagnostic DIAGNOSTIC_STREAM + k."""
+    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,16 @@ class NoisePlan:
             raise ValueError("horizon T must be nonnegative")
         if self.seed < 0 or self.trajectory_index < 0:
             raise ValueError("seed and trajectory index must be nonnegative")
+        if self.trajectory_index >= DIAGNOSTIC_STREAM:
+            raise ValueError("trajectory index must be below 2**63, where "
+                             "the diagnostic streams start")
 
     @property
     def n_steps(self):
         return int(round(self.T / self.h))
 
     def generator(self):
-        key = np.array([self.seed, self.trajectory_index], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        return keyed_generator(self.seed, self.trajectory_index)
 
     def increments(self):
         """Brownian increments, shape (n_steps, d); step index = row."""

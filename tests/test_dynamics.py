@@ -43,6 +43,10 @@ def test_noise_plan_validates_inputs():
         NoisePlan(seed=0, trajectory_index=0, h=-0.1, T=1.0, d=1)
     with pytest.raises(ValueError):
         NoisePlan(seed=-1, trajectory_index=0, h=0.1, T=1.0, d=1)
+    # second key words from 2**63 on are the diagnostics' streams
+    NoisePlan(seed=0, trajectory_index=2 ** 63 - 1, h=0.1, T=1.0, d=1)
+    with pytest.raises(ValueError, match="diagnostic"):
+        NoisePlan(seed=0, trajectory_index=2 ** 63, h=0.1, T=1.0, d=1)
 
 
 def test_increment_variance_scales_with_h():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from voltlift.discretize import build_component
-from voltlift.dynamics import make_plans, make_preset, simulate_lifted_ensemble
+from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
+                               make_plans, make_preset,
+                               simulate_lifted_ensemble)
 from voltlift.ergodics import (_spearman, ergodic_decay,
                                lift_independence_test, noise_floor,
                                run_ensemble, sliced_w1, stationarity_test,
@@ -83,6 +85,18 @@ def test_sliced_w1_multidim_bounds():
     assert 0.0 < val <= 2.0 + 1e-9
 
 
+def test_sliced_w1_directions_are_not_trajectory_noise():
+    # with h = 1 the increments of trajectory 0 of a seed are its raw
+    # normals; the directions must come from a stream of their own
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((300, 2))
+    b = rng.standard_normal((300, 2)) + np.array([1.0, -0.5])
+    noise = NoisePlan(5, 0, 1.0, 32.0, d=2).increments()
+    dirs = noise / np.linalg.norm(noise, axis=1, keepdims=True)
+    from_noise = np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs])
+    assert sliced_w1(a, b, seed=5) != from_noise
+
+
 def test_noise_floor_deterministic_and_positive():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(400)
@@ -103,9 +117,7 @@ def test_noise_floor_bootstraps_the_sliced_statistic():
     a = rng.standard_normal((500, 1))
     b = rng.standard_normal((500, 1))
     zero = np.zeros((500, 1))
-    gen = np.random.Generator(np.random.Philox(key=np.array([3, 0],
-                                                            dtype=np.uint64)))
-    dirs = gen.standard_normal((32, 2))
+    dirs = keyed_generator(3, DIAGNOSTIC_STREAM).standard_normal((32, 2))
     c = np.mean(np.abs(dirs[:, 0]) / np.linalg.norm(dirs, axis=1))
     padded = noise_floor(np.hstack([a, zero]), np.hstack([b, zero]), seed=3)
     assert padded == pytest.approx(c * noise_floor(a, b, seed=3), rel=1e-12)
