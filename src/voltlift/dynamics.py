@@ -3,8 +3,9 @@
 The lifted scheme is an exponential (exact-linear-part) Euler step; the
 direct scheme is a left-point Volterra Euler with drift weights integrated
 on the rule of ``quad.nodes``.  Both run a batch of plans on one noise
-source, ``_stacked_increments``, which draws counter-based per-trajectory
-streams, so that paths can be cross-validated on identical noise.
+source, ``_stacked_increments``, which draws counter-based streams, one per
+block of NOISE_LANES trajectories, so that paths can be cross-validated on
+identical noise.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ from .quad import nodes
 
 DRIFT_FACTOR_CUTOFF = 1e-8
 NOISE_BLOCK_STEPS = 256
+NOISE_LANES = 256
+# normals of noise a batch holds at once, at most
+NOISE_BUFFER = 2 ** 19
 DIAGNOSTIC_STREAM = 2 ** 63
 
 
 def keyed_generator(seed, stream):
     """The Philox generator keyed (seed, stream): trajectory j of a seed
-    draws stream j < DIAGNOSTIC_STREAM, a diagnostic DIAGNOSTIC_STREAM + k."""
+    draws lane j % NOISE_LANES of stream j // NOISE_LANES (its lane block),
+    a diagnostic stream DIAGNOSTIC_STREAM + k."""
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
@@ -81,21 +86,42 @@ class NoisePlan:
     def n_steps(self):
         return int(round(self.T / self.h))
 
-    def generator(self):
-        return keyed_generator(self.seed, self.trajectory_index)
-
     def increments(self):
-        """Brownian increments, shape (n_steps, d); step index = row."""
-        gen = self.generator()
-        return gen.standard_normal((self.n_steps, self.d)) * math.sqrt(self.h)
+        """Brownian increments, shape (n_steps, d); step index = row.  The
+        trajectory's lane of its block's whole stream, drawn step-major as
+        (n_steps, NOISE_LANES, d): a reference for _stacked_increments."""
+        block, lane = divmod(self.trajectory_index, NOISE_LANES)
+        lanes = keyed_generator(self.seed, block).standard_normal(
+            (self.n_steps, NOISE_LANES, self.d))
+        return lanes[:, lane] * math.sqrt(self.h)
+
+
+def _consecutive(idx):
+    """idx as a slice when it runs up by one, so that it indexes a view."""
+    idx = np.asarray(idx)
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
+
+
+def _lane_blocks(plans):
+    """Per lane block of the plans: its generator, the batch rows it fills
+    and their lanes, each a slice where it can be."""
+    rows = {}
+    for row, p in enumerate(plans):
+        block, lane = divmod(p.trajectory_index, NOISE_LANES)
+        rows.setdefault((p.seed, block), []).append((row, lane))
+    return [(keyed_generator(*key), *map(_consecutive, zip(*members)))
+            for key, members in rows.items()]
 
 
 def _stacked_increments(plans):
-    """Yield each step's (n_traj, d) increments for plans of one (h, T, d),
-    drawing every trajectory's Philox stream in blocks of NOISE_BLOCK_STEPS
-    steps: the values of one NoisePlan.increments draw; memory is flat in T.
-    Every integrator steps its batch on these, so a plan that disagrees is
-    rejected here."""
+    """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
+    the values of NoisePlan.increments.  Each lane block's stream is drawn
+    once for all its plans, step-major, a few steps at a time: the rows a
+    consumer still holds, the next rows and one block's lanes come to at
+    most NOISE_BUFFER normals, flat in T.  Every integrator steps its batch
+    on these, so a plan that disagrees is rejected here."""
     first = plans[0]
     shape = (first.h, first.T, first.d)
     for p in plans:
@@ -105,13 +131,19 @@ def _stacked_increments(plans):
                 f"{(p.h, p.T, p.d)} differs from {shape}, trajectory "
                 f"{first.trajectory_index}'s; a batch is stepped together")
     m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
-    gens = [p.generator() for p in plans]
-    for start in range(0, m, NOISE_BLOCK_STEPS):
-        block = np.empty((len(plans), min(NOISE_BLOCK_STEPS, m - start), d))
-        for gen, rows in zip(gens, block):
-            gen.standard_normal(out=rows)
+    blocks = _lane_blocks(plans)
+    steps = max(1, min(NOISE_BLOCK_STEPS,
+                       NOISE_BUFFER // ((2 * len(plans) + NOISE_LANES) * d)))
+    lanes = np.empty((steps, NOISE_LANES, d))
+    for start in range(0, m, steps):
+        count = min(steps, m - start)
         # step-major and C-ordered, so each step's rows are contiguous
-        yield from np.multiply(block.transpose(1, 0, 2), scale, order="C")
+        out = np.empty((count, len(plans), d))
+        for gen, dst, src in blocks:
+            gen.standard_normal(out=lanes[:count])
+            out[:, dst] = lanes[:count, src]
+        out *= scale
+        yield from out
 
 
 def make_plans(seed, n_traj, h, T, d=1, first_index=0):

@@ -17,10 +17,6 @@ from .dynamics import (DIAGNOSTIC_STREAM, keyed_generator, make_plans,
 from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
 
-# Trajectories per batch, a bound on memory: a run of ergodic_2d (4096
-# trajectories) peaked at 93 MB in one batch against 53 MB in chunks of 1024.
-CHUNK = 1024
-
 
 def wasserstein1_1d(samples_a, samples_b):
     """Exact empirical W1 on the line via quantile coupling."""
@@ -41,7 +37,8 @@ def wasserstein1_1d(samples_a, samples_b):
 
 
 def sliced_w1(samples_a, samples_b, n_directions=32, seed=0):
-    """Average 1-d W1 over random unit directions (exact for n = 1)."""
+    """Average 1-d W1 over random unit directions (exact for n = 1).  Equal
+    sample sizes project and sort all directions at once."""
     if n_directions < 1:
         raise ValueError("need at least one direction")
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
@@ -52,8 +49,13 @@ def sliced_w1(samples_a, samples_b, n_directions=32, seed=0):
     dirs = keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal(
         (n_directions, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = [wasserstein1_1d(a @ u, b @ u) for u in dirs]
-    return float(np.mean(vals))
+    if len(a) != len(b) or len(a) == 0:
+        return float(np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs]))
+    pa, pb = dirs @ a.T, dirs @ b.T
+    pa.sort(axis=1)
+    pb.sort(axis=1)
+    pa -= pb
+    return float(np.mean(np.abs(pa, out=pa)))
 
 
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
@@ -77,23 +79,16 @@ def run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record_times,
     """(times, X): the simulated record times, each a whole number of steps
     (see simulate_lifted_ensemble), and X there, shape (n_rec, n_traj, n),
     of the trajectories first_index, ..., first_index + n_traj - 1 of seed,
-    started from z0 (one state, or one per trajectory).  They run in chunks
-    of CHUNK, one after another; a trajectory's bits do not depend on its
-    chunk."""
+    started from z0 (one state, or one per trajectory).  They run as one
+    batch; a trajectory's bits do not depend on its batch."""
     z0 = np.asarray(z0)
     if z0.ndim == 3 and len(z0) != n_traj:
         raise ValueError(f"z0 holds {len(z0)} initial states for "
                          f"{n_traj} trajectories")
-    chunks = []
-    for start in range(0, n_traj, CHUNK):
-        count = min(CHUNK, n_traj - start)
-        plans = make_plans(seed, count, h, T, d=coeffs.d,
-                           first_index=first_index + start)
-        z0_chunk = z0[start:start + count] if z0.ndim == 3 else z0
-        rec_times, x, _ = simulate_lifted_ensemble(
-            component, coeffs, z0_chunk, plans, record_times=record_times)
-        chunks.append(x)
-    return rec_times, np.concatenate(chunks, axis=1)
+    plans = make_plans(seed, n_traj, h, T, d=coeffs.d,
+                       first_index=first_index)
+    return simulate_lifted_ensemble(component, coeffs, z0, plans,
+                                    record_times=record_times)[:2]
 
 
 @dataclass(frozen=True)
@@ -137,9 +132,9 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
 
     w1 = marginal_w1(ens1, ens2)
     r_hat, intercept = fit(w1)
-    # (seed, 2) is also trajectory 2's key; moving it to the diagnostic
-    # range waits on a fit that leaves out W1 values at the noise floor,
-    # which bias r_hat low (see ROADMAP)
+    # (seed, 2) is also the key of lane block 2, trajectories 512-767;
+    # moving it to the diagnostic range waits on a fit that leaves out W1
+    # values at the noise floor, which bias r_hat low (see ROADMAP)
     gen = keyed_generator(seed, 2)
     boots = []
     for _ in range(n_boot):
@@ -167,7 +162,8 @@ class StationarityResult:
 
 def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
                       h=1e-2, n_boot=100):
-    """Compare the X-marginal at burn_in against burn_in + lag for each lag."""
+    """Compare the X-marginal at burn_in against burn_in + lag for each lag.
+    The lags reported are the simulated ones: each time rounded to a step."""
     if len(lags) == 0:
         raise ValueError("lags must be nonempty")
     if burn_in < 0:
@@ -175,7 +171,9 @@ def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
     lags = np.asarray(sorted(lags), dtype=float)
     record = [burn_in] + [burn_in + l for l in lags]
     T = record[-1]
-    _, ens = run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record)
+    rec_times, ens = run_ensemble(component, coeffs, z0, seed, n_traj, h, T,
+                                  record)
+    lags = rec_times[1:] - rec_times[0]
     ref = ens[0]
     w1 = np.empty(lags.size)
     floors = np.empty(lags.size)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               _stacked_increments, lifted_step, make_plans,
-                               make_preset, preset_linear, simulate_lifted,
-                               simulate_lifted_ensemble,
+                               _lane_blocks, _stacked_increments, lifted_step,
+                               make_plans, make_preset, preset_linear,
+                               simulate_lifted, simulate_lifted_ensemble,
                                simulate_volterra_direct, step_operators,
                                truncate_coefficients, volterra_weights)
 from voltlift.kernelbasis import (make_expsum_basis,
@@ -179,6 +179,39 @@ def test_block_noise_matches_full_draw():
     full = np.stack([p.increments() for p in plans], axis=1)
     assert blocks.shape == (plans[0].n_steps, 3, 2)
     np.testing.assert_array_equal(blocks, full)
+
+
+def test_stacked_noise_takes_each_plans_lane_in_any_order():
+    # plans from three lane blocks, out of order and one twice: each row is
+    # its plan's lane of its block's stream
+    h = 0.1
+    idx = [700, 3, 255, 256, 4, 511, 3]
+    plans = [NoisePlan(9, j, h, 1.5 * NOISE_BLOCK_STEPS * h, 2) for j in idx]
+    rows = np.stack(list(_stacked_increments(plans)))
+    np.testing.assert_array_equal(
+        rows, np.stack([p.increments() for p in plans], axis=1))
+
+
+def test_noise_memory_bounded_in_batch():
+    # a 4096-trajectory, d = 2 batch (the size of the ergodic_2d
+    # ensembles) holds at most NOISE_BUFFER = 2**19 normals of noise,
+    # besides its sixteen lane blocks' generators; 1% covers the array
+    # views and frames around them
+    plans = make_plans(0, 4096, 0.01, 4.0, d=2)
+    tracemalloc.start()
+    try:
+        blocks = _lane_blocks(plans)
+        generators = tracemalloc.get_traced_memory()[0]
+        del blocks
+        tracemalloc.reset_peak()
+        # dw holds a step's rows while the next block is drawn, as in
+        # every integrator
+        for dw in _stacked_increments(plans):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - generators <= 1.01 * 2 ** 19 * 8
 
 
 def test_ensemble_memory_bounded_in_horizon():

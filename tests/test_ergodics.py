@@ -8,8 +8,7 @@ from scipy import stats
 
 from voltlift.discretize import build_component
 from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
-                               make_plans, make_preset,
-                               simulate_lifted_ensemble)
+                               make_preset, simulate_lifted)
 from voltlift.ergodics import (_spearman, ergodic_decay,
                                lift_independence_test, noise_floor,
                                run_ensemble, sliced_w1, stationarity_test,
@@ -85,6 +84,17 @@ def test_sliced_w1_multidim_bounds():
     assert 0.0 < val <= 2.0 + 1e-9
 
 
+def test_sliced_w1_is_the_mean_over_its_directions():
+    # equal sample sizes take the all-directions-at-once path
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((500, 3))
+    b = rng.standard_normal((500, 3)) * 1.5 + np.array([0.5, 0.0, -1.0])
+    dirs = keyed_generator(8, DIAGNOSTIC_STREAM).standard_normal((32, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    want = np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs])
+    assert sliced_w1(a, b, seed=8) == pytest.approx(want, rel=1e-12)
+
+
 def test_sliced_w1_directions_are_not_trajectory_noise():
     # with h = 1 the increments of trajectory 0 of a seed are its raw
     # normals; the directions must come from a stream of their own
@@ -123,17 +133,25 @@ def test_noise_floor_bootstraps_the_sliced_statistic():
     assert padded == pytest.approx(c * noise_floor(a, b, seed=3), rel=1e-12)
 
 
-def test_run_ensemble_chunk_invariance():
-    # 2048 trajectories run as two chunks; one batch of the same plans
-    # gives the same bits
-    comp, coeffs = ou_setup()
-    z0, rec = np.zeros((1, 1)), [0.5, 1.0]
-    times, chunked = run_ensemble(comp, coeffs, z0, seed=4, n_traj=2048,
-                                  h=0.05, T=1.0, record_times=rec)
-    want_times, whole, _ = simulate_lifted_ensemble(
-        comp, coeffs, z0, make_plans(4, 2048, 0.05, 1.0), record_times=rec)
-    np.testing.assert_array_equal(times, want_times)
-    np.testing.assert_array_equal(chunked, whole)
+def test_run_ensemble_bits_across_a_lane_block_boundary():
+    # trajectories 200-499 straddle lane blocks 0 and 1; two runs split at
+    # the unaligned index 330, and trajectory 257 run alone, give the bits
+    # of the one batch
+    basis = make_expsum_basis([(1.0, np.eye(2),
+                                np.array([[1.0, 0.3], [0.3, 1.0]]))])
+    comp = build_component(basis, 1, 2.0)
+    coeffs = make_preset("tanh", n=2, scale=0.5, sigma0=1.0)
+    z0, rec = np.full((1, 2), 0.5), [0.5, 1.0]
+    times, whole = run_ensemble(comp, coeffs, z0, seed=4, n_traj=300,
+                                h=0.05, T=1.0, record_times=rec,
+                                first_index=200)
+    parts = [run_ensemble(comp, coeffs, z0, seed=4, n_traj=count, h=0.05,
+                          T=1.0, record_times=rec, first_index=first)[1]
+             for first, count in ((200, 130), (330, 170))]
+    np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+    solo = simulate_lifted(comp, coeffs, z0, NoisePlan(4, 257, 0.05, 1.0, 2))
+    np.testing.assert_array_equal(times, solo.times[[10, 20]])
+    np.testing.assert_array_equal(whole[:, 57], solo.observables[[10, 20]])
 
 
 def test_run_ensemble_per_trajectory_initial_states():
@@ -142,7 +160,6 @@ def test_run_ensemble_per_trajectory_initial_states():
     _, ens = run_ensemble(comp, coeffs, z0, seed=0, n_traj=6, h=0.5, T=0.5,
                           record_times=[0.0])
     np.testing.assert_allclose(ens[0, :, 0], np.arange(6.0))
-    # without the check the second chunk would broadcast its one row
     with pytest.raises(ValueError, match="1025 initial states for 2048"):
         run_ensemble(comp, coeffs, np.zeros((1025, 1, 1)), seed=0,
                      n_traj=2048, h=0.5, T=0.5, record_times=[0.0])
@@ -195,6 +212,17 @@ def test_stationarity_detects_transient():
                             n_traj=512, z0=np.full((1, 1), 2.0), seed=7,
                             h=0.01)
     assert not res.passed[0]
+
+
+def test_stationarity_reports_the_simulated_lags():
+    # 0.013 and 0.014 both round to step 1 at h = 0.01: the rows report
+    # the lag of 0.01 that was simulated
+    comp, coeffs = ou_setup()
+    res = stationarity_test(comp, coeffs, burn_in=0.0, lags=[0.013, 0.014],
+                            n_traj=64, z0=np.zeros((1, 1)), seed=0, h=0.01,
+                            n_boot=5)
+    np.testing.assert_array_equal(res.lags, [0.01, 0.01])
+    assert res.w1[0] == res.w1[1]
 
 
 def test_stationarity_validates_arguments():
