@@ -78,7 +78,9 @@ def _check_leaves(key, value):
 
 def _resolve(key, value, default):
     """value checked against the type of its default; a section gets the
-    default of every key it leaves out."""
+    default of every key it leaves out, and a null default accepts null."""
+    if value is None and default is None:
+        return None
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"section {key} must be an object")
@@ -408,8 +410,9 @@ def main(argv=None):
     try:
         cfg = resolve_config(json.loads(Path(args.config).read_text()))
         for spec in (cfg["basis"], cfg.get("basis_b", {})):
-            if "file" in spec:  # relative to the config that names it
-                spec["file"] = str(Path(args.config).parent / spec["file"])
+            if "file" in spec:  # relative to its config, recorded absolute
+                spec["file"] = str(Path(args.config).absolute().parent
+                                   / spec["file"])
         if args.command == "validate":
             _build_inputs(cfg)  # all of run but discretizing and simulating
             print("config ok")

@@ -14,6 +14,7 @@ import numpy as np
 from .dynamics import (_batch, _by_trajectory, _check_finite,
                        _initial_states, _stacked_increments, lifted_step,
                        step_operators)
+from .ergodics import decay_rate
 from .weights import mu_sigma_phi, weighted_norms
 
 
@@ -69,16 +70,16 @@ def _control(coeffs, xh, v, lam):
 
 
 def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
-    """Coupled ensemble from initial lifted states y1, y2 (shared by all
-    trajectories); plans is a list of NoisePlan with common (h, T).  It runs
-    in the calling thread: see README, Determinism."""
+    """Coupled ensemble from initial lifted states y1, y2 (one state, or
+    one per trajectory); plans is a list of NoisePlan with common (h, T).
+    It runs in the calling thread: see README, Determinism."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
     h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
     batch = _batch(plans)
     ops = step_operators(component, h, lam)
-    y, x = _initial_states(ops, y1, len(batch))
-    yh, xh = _initial_states(ops, y2, len(batch))
+    y, x = _initial_states(ops, y1, plans)
+    yh, xh = _initial_states(ops, y2, plans)
 
     mean, stderr = np.empty(m + 1), np.empty(m + 1)
     v, dist = _gap(component, table, y, yh)
@@ -121,18 +122,10 @@ def contraction_report(run, kappa, lam, c_ue=1.0):
     d0 = mean[0]
     envelope = np.exp(-0.5 * kappa * run.times) * d0
 
-    if d0 == 0.0:
-        r_hat = None
-        contraction_ok = bool(np.all(mean <= 3.0 * stderr + 1e-30))
-    else:
-        contraction_ok = bool(np.all(
-            mean <= envelope + 3.0 * stderr + 1e-30))
-        mask = mean > 0.0
-        t_fit = run.times[mask]
-        r_hat = None
-        if t_fit.size >= 2:
-            slope, _ = np.polyfit(t_fit, np.log(mean[mask]), 1)
-            r_hat = -float(slope)
+    # the envelope is 0 when d0 is, and no decay rate is fitted then
+    contraction_ok = bool(np.all(mean <= envelope + 3.0 * stderr + 1e-30))
+    rate, _ = decay_rate(run.times, mean)
+    r_hat = None if d0 == 0.0 or np.isnan(rate) else float(rate)
 
     energy_final, energy_se = mean_stderr(run.energy)
     budget = 0.5 * c_ue * lam * d0 ** 2

@@ -217,11 +217,15 @@ def _batch(plans):
     return plans * 2 if len(plans) == 1 else plans
 
 
-def _initial_states(ops, z0, n_traj):
-    """(I*n, n_traj) copies of z0 (one state shared, or one per trajectory)
-    and their x."""
-    z = np.asarray(z0, dtype=float).reshape(-1, ops.forcing.shape[1]).T
-    z = np.broadcast_to(z, (z.shape[0], n_traj)).copy()
+def _initial_states(ops, z0, plans):
+    """Trajectory-last copies of z0 for the _batch of plans (one state
+    shared, or a stack of one per plan) and their x."""
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim == 3 and len(z0) != len(plans):
+        raise ValueError(f"z0 holds {len(z0)} initial states for "
+                         f"{len(plans)} trajectories")
+    z = z0.reshape(-1, ops.forcing.shape[1]).T
+    z = np.broadcast_to(z, (z.shape[0], len(_batch(plans)))).copy()
     return z, ops.observe(z)
 
 
@@ -244,9 +248,9 @@ def _lifted_steps(component, coeffs, z0, plans):
     """Integrate the ensemble of plans (a lone plan twice, see _batch);
     yield (step, z, x), trajectory-last, for step 0 and after every step.
     Each yielded array is new, never updated in place."""
-    plans = _batch(plans)
     ops = step_operators(component, plans[0].h)
-    z, x = _initial_states(ops, z0, len(plans))
+    z, x = _initial_states(ops, z0, plans)
+    plans = _batch(plans)
     yield 0, z, x
     for step, dw in enumerate(_stacked_increments(plans), start=1):
         z, x = lifted_step(ops, coeffs, z, x, dw)

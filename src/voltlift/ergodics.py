@@ -18,44 +18,47 @@ from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
 
 
+N_DIRECTIONS = 32  # random unit directions of sliced_w1 when n >= 2
+
+
+def _w1_sorted(a, b):
+    """Mean exact W1 between the rows of a and b, sorted along the last
+    axis.  Equal sizes overwrite a: a temporary of that size costs time."""
+    na, nb = a.shape[-1], b.shape[-1]
+    if na == 0 or nb == 0:
+        raise ValueError("empty sample set")
+    if na == nb:
+        a -= b
+        return float(np.mean(np.abs(a, out=a)))
+    # unequal sizes: integrate |F_a^{-1} - F_b^{-1}| over the merged grid
+    qa, qb = np.arange(1, na + 1) / na, np.arange(1, nb + 1) / nb
+    qs = np.union1d(qa, qb)
+    ia, ib = (np.minimum(np.searchsorted(q, qs - 1e-15), len(q) - 1)
+              for q in (qa, qb))
+    return float(np.mean(np.abs(a[..., ia] - b[..., ib])
+                         @ np.diff(qs, prepend=0.0)))
+
+
 def wasserstein1_1d(samples_a, samples_b):
     """Exact empirical W1 on the line via quantile coupling."""
-    a = np.sort(np.asarray(samples_a, dtype=float).ravel())
-    b = np.sort(np.asarray(samples_b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty sample set")
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
-    # unequal sizes: integrate |F_a^{-1} - F_b^{-1}| over the merged grid
-    qa = np.arange(1, a.size + 1) / a.size
-    qb = np.arange(1, b.size + 1) / b.size
-    qs = np.union1d(qa, qb)
-    widths = np.diff(np.concatenate(([0.0], qs)))
-    ia = np.minimum(np.searchsorted(qa, qs - 1e-15), a.size - 1)
-    ib = np.minimum(np.searchsorted(qb, qs - 1e-15), b.size - 1)
-    return float(np.sum(widths * np.abs(a[ia] - b[ib])))
+    return _w1_sorted(*(np.sort(np.asarray(s, dtype=float).ravel())
+                        for s in (samples_a, samples_b)))
 
 
-def sliced_w1(samples_a, samples_b, n_directions=32, seed=0):
-    """Average 1-d W1 over random unit directions (exact for n = 1).  Equal
-    sample sizes project and sort all directions at once."""
-    if n_directions < 1:
-        raise ValueError("need at least one direction")
-    a = np.atleast_2d(np.asarray(samples_a, dtype=float))
-    b = np.atleast_2d(np.asarray(samples_b, dtype=float))
+def sliced_w1(samples_a, samples_b, seed=0):
+    """Mean exact W1 of two samples of (N, n) rows (a 1-d sample: n = 1)
+    projected onto unit directions: 1 when n = 1, which is wasserstein1_1d,
+    else N_DIRECTIONS drawn from the diagnostic stream keyed by seed."""
+    a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
+            for s in (samples_a, samples_b))
     n = a.shape[-1]
-    if n == 1:
-        return wasserstein1_1d(a, b)
-    dirs = keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal(
-        (n_directions, n))
+    dirs = (keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal(
+        (N_DIRECTIONS, n)) if n > 1 else np.ones((1, 1)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if len(a) != len(b) or len(a) == 0:
-        return float(np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs]))
     pa, pb = dirs @ a.T, dirs @ b.T
     pa.sort(axis=1)
     pb.sort(axis=1)
-    pa -= pb
-    return float(np.mean(np.abs(pa, out=pa)))
+    return _w1_sorted(pa, pb)
 
 
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
@@ -81,14 +84,19 @@ def run_ensemble(component, coeffs, z0, seed, n_traj, h, T, record_times,
     of the trajectories first_index, ..., first_index + n_traj - 1 of seed,
     started from z0 (one state, or one per trajectory).  They run as one
     batch; a trajectory's bits do not depend on its batch."""
-    z0 = np.asarray(z0)
-    if z0.ndim == 3 and len(z0) != n_traj:
-        raise ValueError(f"z0 holds {len(z0)} initial states for "
-                         f"{n_traj} trajectories")
     plans = make_plans(seed, n_traj, h, T, d=coeffs.d,
                        first_index=first_index)
     return simulate_lifted_ensemble(component, coeffs, z0, plans,
                                     record_times=record_times)[:2]
+
+
+def decay_rate(times, values):
+    """Least-squares (rate, intercept) of log v = intercept - rate t, v > 0."""
+    mask = values > 0.0
+    if mask.sum() < 2:
+        return np.nan, np.nan
+    slope, intercept = np.polyfit(times[mask], np.log(values[mask]), 1)
+    return -slope, intercept
 
 
 @dataclass(frozen=True)
@@ -123,15 +131,8 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
         return np.array([sliced_w1(sa[i], sb[i], seed=seed)
                          for i in range(len(times))])
 
-    def fit(vals):
-        mask = vals > 0.0
-        if mask.sum() < 2:
-            return np.nan, np.nan
-        slope, icept = np.polyfit(sim_times[mask], np.log(vals[mask]), 1)
-        return -slope, icept
-
     w1 = marginal_w1(ens1, ens2)
-    r_hat, intercept = fit(w1)
+    r_hat, intercept = decay_rate(sim_times, w1)
     # (seed, 2) is also the key of lane block 2, trajectories 512-767;
     # moving it to the diagnostic range waits on a fit that leaves out W1
     # values at the noise floor, which bias r_hat low (see ROADMAP)
@@ -140,7 +141,7 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
     for _ in range(n_boot):
         ia = gen.integers(0, n_traj, n_traj)
         ib = gen.integers(0, n_traj, n_traj)
-        r_b, _ = fit(marginal_w1(ens1[:, ia], ens2[:, ib]))
+        r_b = decay_rate(sim_times, marginal_w1(ens1[:, ia], ens2[:, ib]))[0]
         if np.isfinite(r_b):
             boots.append(r_b)
     r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan

@@ -25,10 +25,6 @@ class WeightTable:
     norm_op: np.ndarray      # (I, n, n) w_i Phi_i, for weighted_norms
     mu_op: np.ndarray        # (I, n, n) w_i M_s,i^T Phi_i, for mu_sigma_phi
 
-    @property
-    def size(self):
-        return self.Phi.shape[0]
-
 
 def _sym_eigvalsh(mat):
     """Whether a matrix (or each matrix of a stack) is symmetric to SYM_TOL,

@@ -1,15 +1,21 @@
+import contextlib
 import copy
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from voltlift.cli import main
+from voltlift.discretize import build_component
+from voltlift.dynamics import (NoisePlan, make_preset, simulate_lifted,
+                               truncate_coefficients)
 from voltlift.kernelbasis import basis_to_json, make_expsum_basis
 
 ATOM_BASIS = {"kind": "expsum",
@@ -119,6 +125,26 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "results.csv").read_bytes() == \
         (out2 / "results.csv").read_bytes()
     assert (out1 / "path.csv").read_bytes() == (out2 / "path.csv").read_bytes()
+
+
+def test_truncate_reaches_the_coefficients(tmp_path):
+    # sigma = 0 and b(x) = -x clamped to radius 1: from x = 10 the path is
+    # the API's truncated one, not the plain linear decay
+    doc = simulate_config(tmp_path / "o")
+    doc.update(initial={"y1": 10.0}, coefficients={
+        "preset": "linear", "beta": 1.0, "sigma0": 0.0, "truncate": 1.0})
+    assert main(["run", "--config", write_config(tmp_path, "t.json",
+                                                 doc)]) == 0
+    final = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    comp = build_component(make_expsum_basis([(1.0, [[1.0]], [[1.0]])]), 1,
+                           2.0)
+    plan = NoisePlan(3, 0, 0.01, 1.0)
+    plain = make_preset("linear", beta=1.0, sigma0=0.0)
+    x = [simulate_lifted(comp, c, np.full((1, 1), 10.0),
+                         plan).observables[-1, 0]
+         for c in (truncate_coefficients(plain, 1.0), plain)]
+    assert final["final_X"] == [x[0]]
+    assert x[0] > x[1]
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -305,6 +331,53 @@ SHIPPED = sorted(p.name for p in CONFIGS.glob("*.json")
 def test_shipped_configs_validate(name, capsys):
     assert main(["validate", "--config", str(CONFIGS / name)]) == 0, \
         capsys.readouterr().err
+
+
+# sha256 of the CSV and verdict.json files the shipped configs write, in
+# the format scripts/run_all_configs.py prints
+SHIPPED_SHA256 = Path(__file__).resolve().parent / "shipped_outputs.sha256"
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """Output directory of every shipped config, by config name, each run
+    from the repository root by its relative path."""
+    out = tmp_path_factory.mktemp("shipped")
+    with contextlib.chdir(CONFIGS.parent):
+        for name in SHIPPED:
+            rc = main(["run", "--config", f"configs/{name}", "--out",
+                       str(out / Path(name).stem)])
+            assert rc == 0, name
+    return {Path(name).stem: out / Path(name).stem for name in SHIPPED}
+
+
+def _digests(out_dirs):
+    """'<config>/<file>' -> sha256 of each CSV and verdict.json."""
+    return {f"{stem}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+            for stem, out in out_dirs.items()
+            for f in [*out.glob("*.csv"), out / "verdict.json"]}
+
+
+def test_shipped_outputs_keep_their_bytes(shipped_runs):
+    lines = SHIPPED_SHA256.read_text().splitlines()
+    want = {name: digest for digest, name in
+            (line.split() for line in lines if not line.startswith("#"))}
+    got = _digests(shipped_runs)
+    moved = sorted(k for k in want.keys() | got.keys()
+                   if want.get(k) != got.get(k))
+    assert not moved, (
+        f"output bytes moved: {moved}. Regenerate {SHIPPED_SHA256.name} "
+        f"only with a reason in CHANGES.md. The list was {lines[0][2:]}; "
+        f"this is numpy {np.__version__}")
+
+
+def test_resolved_configs_rerun_to_the_same_bytes(shipped_runs, tmp_path):
+    for stem, out in shipped_runs.items():
+        rc = main(["run", "--config", str(out / "resolved_config.json"),
+                   "--out", str(tmp_path / stem)])
+        assert rc == 0, stem
+    assert _digests({stem: tmp_path / stem for stem in shipped_runs}) \
+        == _digests(shipped_runs)
 
 
 _NO_SCIPY_RUN = """

@@ -70,6 +70,19 @@ def test_epsilon_displacement_oracle_single_uniform_cell():
     assert epsilon_k(basis, comp) == pytest.approx(0.25, abs=1e-8)
 
 
+def test_epsilon_charges_atoms_at_and_above_theta_max():
+    # only the atom at 0.5 is kept; the atoms at theta_max = 8 and at 20
+    # are uncovered tail, charged at mass (1 + theta)^-p |M|^2
+    basis = make_expsum_basis([(0.5, EYE, EYE), (8.0, 2.0 * EYE, EYE),
+                               (20.0, EYE, 3.0 * EYE)])
+    comp = build_component(basis, 1, theta_max=8.0)
+    assert comp.size == 1
+    e_b = 4.0 * 9.0 ** -1.5 + 21.0 ** -1.5
+    e_s = 9.0 ** -0.5 + 9.0 * 21.0 ** -0.5
+    assert epsilon_k(basis, comp) == pytest.approx(
+        np.sqrt(e_b) + np.sqrt(e_s), rel=1e-14)
+
+
 def test_epsilon_requires_matching_basis():
     b1 = make_expsum_basis([(1.0, EYE, EYE)])
     b2 = make_expsum_basis([(1.0, EYE, EYE)])

@@ -265,6 +265,33 @@ def test_ensemble_rejects_plans_of_another_shape():
             simulate_lifted_ensemble(comp, coeffs, np.zeros((1, 1)), plans)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_lifted_ensemble_rejects_a_stack_of_other_count(count):
+    comp, coeffs = ergodic_2d_setup()
+    plans = make_plans(0, 3, 0.1, 0.2, d=2)
+    with pytest.raises(ValueError,
+                       match=f"{count} initial states for 3 trajectories"):
+        simulate_lifted_ensemble(comp, coeffs, np.zeros((count, 1, 2)),
+                                 plans)
+    # a lone plan takes a stack of one, though it runs as two columns
+    lone = simulate_lifted(comp, coeffs, np.full((1, 1, 2), 0.5), plans[0])
+    shared = simulate_lifted(comp, coeffs, np.full((1, 2), 0.5), plans[0])
+    np.testing.assert_array_equal(lone.states, shared.states)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_coupled_pair_rejects_a_stack_of_other_count(count):
+    comp = build_component(make_expsum_basis([(1.0, EYE, EYE)]), 1, 2.0)
+    table = build_custom(comp, [EYE])
+    plans = make_plans(0, 3, 0.1, 0.2)
+    z = np.zeros((1, 1))
+    for y1, y2 in ((np.zeros((count, 1, 1)), z), (z, np.ones((count, 1, 1)))):
+        with pytest.raises(ValueError,
+                           match=f"{count} initial states for 3 trajectories"):
+            simulate_coupled_pair(comp, make_preset("linear"), table, 1.0,
+                                  y1, y2, plans)
+
+
 def test_nan_abort_reports_step():
     basis = make_expsum_basis([(1.0, EYE, EYE)])
     comp = build_component(basis, 1, theta_max=2.0)

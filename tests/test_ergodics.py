@@ -73,26 +73,30 @@ def test_sliced_w1_reduces_to_exact_in_1d():
     b = rng.standard_normal((300, 1)) + 1.0
     assert sliced_w1(a, b) == pytest.approx(
         wasserstein1_1d(a, b), rel=1e-12)
+    # a 1-d sample is N rows of dimension 1, not one row of dimension N
+    a, b = rng.standard_normal(500), rng.standard_normal(500) * 2.0
+    assert sliced_w1(a, b) == wasserstein1_1d(a, b)
 
 
 def test_sliced_w1_multidim_bounds():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((400, 3))
     b = a + np.array([2.0, 0.0, 0.0])
-    val = sliced_w1(a, b, n_directions=64, seed=3)
+    val = sliced_w1(a, b, seed=3)
     # sliced distance of a pure shift is E|<u, shift>| <= |shift|
     assert 0.0 < val <= 2.0 + 1e-9
 
 
 def test_sliced_w1_is_the_mean_over_its_directions():
-    # equal sample sizes take the all-directions-at-once path
+    # equal and unequal sample sizes, against one direction at a time
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((500, 3))
-    b = rng.standard_normal((500, 3)) * 1.5 + np.array([0.5, 0.0, -1.0])
     dirs = keyed_generator(8, DIAGNOSTIC_STREAM).standard_normal((32, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    want = np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs])
-    assert sliced_w1(a, b, seed=8) == pytest.approx(want, rel=1e-12)
+    for n_b in (500, 350):
+        a = rng.standard_normal((500, 3))
+        b = rng.standard_normal((n_b, 3)) * 1.5 + np.array([0.5, 0.0, -1.0])
+        want = np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs])
+        assert sliced_w1(a, b, seed=8) == pytest.approx(want, rel=1e-12)
 
 
 def test_sliced_w1_directions_are_not_trajectory_noise():

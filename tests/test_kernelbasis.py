@@ -154,6 +154,19 @@ def test_json_round_trip_atoms_and_tempered_fractional():
     json.loads(doc)  # well-formed document
 
 
+def test_json_round_trip_rebuilds_tempered_fractional_closed_forms():
+    basis = make_tempered_fractional_basis(0.5, 0.75, 1.0, 2.0, 0.6, 0.9)
+    back = basis_from_json(basis_to_json(basis))
+    assert [s.params for s in back.segments] == \
+        [s.params for s in basis.segments]
+    assert sorted(back.closed_forms) == sorted(basis.closed_forms) \
+        == sorted((DRIFT, DIFFUSION))
+    for which in (DRIFT, DIFFUSION):
+        for t in (0.1, 1.0, 5.0):
+            np.testing.assert_array_equal(back.closed_forms[which](t),
+                                          basis.closed_forms[which](t))
+
+
 def test_table_segment_log_linear_interpolation():
     thetas = np.array([1.0, 10.0, 100.0])
     rhos = np.array([1.0, 0.1, 0.01])   # exact power law theta^(-1)
