@@ -7,6 +7,7 @@ Girsanov cost is recorded as the integrated control energy.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,15 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     v, dist = _gap(component, table, y, yh)
     mean[0], stderr[0] = mean_stderr(dist[:n_traj])
     energy = np.zeros(n_traj)
-    for step, dw in enumerate(_stacked_increments(batch), start=1):
-        # left-point quadrature of the control energy
-        u = _control(coeffs, xh, v, lam)[:n_traj]
-        energy += 0.5 * h * np.sum(u ** 2, axis=-1)
-        y, yh, x, xh, v, dist = _coupled_step(component, coeffs, table, ops,
-                                              y, yh, x, xh, v, dw)
-        _check_finite("coupled", step, batch, y, yh)
-        mean[step], stderr[step] = mean_stderr(dist[:n_traj])
+    with closing(_stacked_increments(batch)) as noise:
+        for step, dw in enumerate(noise, start=1):
+            # left-point quadrature of the control energy
+            u = _control(coeffs, xh, v, lam)[:n_traj]
+            energy += 0.5 * h * np.sum(u ** 2, axis=-1)
+            y, yh, x, xh, v, dist = _coupled_step(
+                component, coeffs, table, ops, y, yh, x, xh, v, dw)
+            _check_finite("coupled", step, batch, y, yh)
+            mean[step], stderr[step] = mean_stderr(dist[:n_traj])
     return CoupledRun(times=np.arange(m + 1) * h, mean_dist=mean,
                       stderr_dist=stderr, energy=energy,
                       y_final=_by_trajectory(component, y)[:n_traj].copy(),

@@ -11,6 +11,8 @@ identical noise.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,10 +120,14 @@ def _lane_blocks(plans):
 def _stacked_increments(plans):
     """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
     the values of NoisePlan.increments.  Each lane block's stream is drawn
-    once for all its plans, step-major, a few steps at a time: the rows a
-    consumer still holds, the next rows and one block's lanes come to at
-    most NOISE_BUFFER normals, flat in T.  Every integrator steps its batch
-    on these, so a plan that disagrees is rejected here."""
+    once for all its plans, step-major, a few steps at a time, one block of
+    steps ahead on a worker thread.  The worker only fills arrays this
+    thread allocates, so they stay in its malloc arena.  The next block is
+    handed over once the first row of the current one has been yielded:
+    the consumer has let go of the previous block by then, so the two
+    blocks and the lanes come to at most NOISE_BUFFER normals, flat in T.
+    Closing the generator joins the worker.  Every integrator steps its
+    batch on these, so a plan that disagrees is rejected here."""
     first = plans[0]
     shape = (first.h, first.T, first.d)
     for p in plans:
@@ -135,15 +141,48 @@ def _stacked_increments(plans):
     steps = max(1, min(NOISE_BLOCK_STEPS,
                        NOISE_BUFFER // ((2 * len(plans) + NOISE_LANES) * d)))
     lanes = np.empty((steps, NOISE_LANES, d))
-    for start in range(0, m, steps):
-        count = min(steps, m - start)
-        # step-major and C-ordered, so each step's rows are contiguous
-        out = np.empty((count, len(plans), d))
+
+    def fill(out):
         for gen, dst, src in blocks:
-            gen.standard_normal(out=lanes[:count])
-            out[:, dst] = lanes[:count, src]
+            gen.standard_normal(out=lanes[:len(out)])
+            out[:, dst] = lanes[:len(out), src]
         out *= scale
-        yield from out
+
+    # one-slot handoff: slot holds the block to fill, then what fill raised
+    slot = [None, None]
+    todo, done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def work():
+        while todo.acquire() and slot[0] is not None:
+            try:
+                fill(slot[0])
+            except BaseException as exc:
+                slot[1] = exc
+            done.release()
+
+    def submit(start):
+        # step-major and C-ordered, so each step's rows are contiguous
+        slot[0] = np.empty((min(steps, m - start), len(plans), d))
+        todo.release()
+        return slot[0]
+
+    worker = threading.Thread(target=work, name="voltlift-noise", daemon=True)
+    worker.start()
+    try:
+        out = submit(0)
+        for start in range(0, m, steps):
+            done.acquire()
+            if slot[1] is not None:
+                raise slot[1]
+            rows = iter(out)
+            yield next(rows)
+            if start + steps < m:
+                out = submit(start + steps)
+            yield from rows
+    finally:
+        slot[0] = None
+        todo.release()
+        worker.join()
 
 
 def make_plans(seed, n_traj, h, T, d=1, first_index=0):
@@ -193,14 +232,23 @@ def step_operators(component, h, lam=None):
                          forcing=forcing, w=component.w)
 
 
+def _noise_term(sigma, dw):
+    """sigma(x) dW, trajectory-last (n, n_traj), for sigma of shape
+    (n_traj, n, d) and dw (n_traj, d): from zeros, one multiply-add per
+    noise column in column order, which is einsum's sum for d <= 2."""
+    out = np.zeros((sigma.shape[1], len(dw)))
+    for col in range(dw.shape[1]):
+        out += sigma[:, :, col].T * dw[:, col]
+    return out
+
+
 def lifted_step(ops, coeffs, z, x, dw, v=None):
     """One exponential-Euler step of trajectory-last states: z (I*n, n_traj),
     x (n, n_traj), dw (n_traj, d).  v (n, n_traj), the coupling control's
     input, meets the control block of ops.forcing; without v the last two
     blocks apply."""
     xt = x.T
-    forcing = [coeffs.b(xt).T,
-               np.einsum("tpd,td->pt", coeffs.sigma(xt), dw)]
+    forcing = [coeffs.b(xt).T, _noise_term(coeffs.sigma(xt), dw)]
     if v is not None:
         forcing.insert(0, v)
     forcing = np.concatenate(forcing)
@@ -252,10 +300,11 @@ def _lifted_steps(component, coeffs, z0, plans):
     z, x = _initial_states(ops, z0, plans)
     plans = _batch(plans)
     yield 0, z, x
-    for step, dw in enumerate(_stacked_increments(plans), start=1):
-        z, x = lifted_step(ops, coeffs, z, x, dw)
-        _check_finite("lifted", step, plans, z)
-        yield step, z, x
+    with closing(_stacked_increments(plans)) as noise:
+        for step, dw in enumerate(noise, start=1):
+            z, x = lifted_step(ops, coeffs, z, x, dw)
+            _check_finite("lifted", step, plans, z)
+            yield step, z, x
 
 
 def simulate_lifted(component, coeffs, z0, plan):
@@ -328,16 +377,17 @@ def simulate_volterra_direct(kernels, coeffs, forcing, plans):
     bvals = np.empty((m, n, len(batch)))
     svals = np.empty((m, n, len(batch)))
     x[0] = np.atleast_1d(forcing(0.0))[:, None]
-    for step, dw in enumerate(_stacked_increments(batch), start=1):
-        xt = x[step - 1].T
-        bvals[step - 1] = coeffs.b(xt).T
-        svals[step - 1] = np.einsum("tpd,td->pt", coeffs.sigma(xt), dw)
-        x[step] = (np.atleast_1d(forcing(step * h))[:, None]
-                   + np.einsum("lpq,lqt->pt", kb[step - 1::-1],
-                               bvals[:step])
-                   + np.einsum("lpq,lqt->pt", ks[step - 1::-1],
-                               svals[:step]))
-        _check_finite("Volterra", step, batch, x[step])
+    with closing(_stacked_increments(batch)) as noise:
+        for step, dw in enumerate(noise, start=1):
+            xt = x[step - 1].T
+            bvals[step - 1] = coeffs.b(xt).T
+            svals[step - 1] = _noise_term(coeffs.sigma(xt), dw)
+            x[step] = (np.atleast_1d(forcing(step * h))[:, None]
+                       + np.einsum("lpq,lqt->pt", kb[step - 1::-1],
+                                   bvals[:step])
+                       + np.einsum("lpq,lqt->pt", ks[step - 1::-1],
+                                   svals[:step]))
+            _check_finite("Volterra", step, batch, x[step])
     return np.arange(m + 1) * h, x[..., :n_traj].transpose(0, 2, 1)
 
 
@@ -348,7 +398,7 @@ def _const_sigma(value, n, d):
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(mat, x.shape[:-1] + (n, d)).copy()
+        return np.broadcast_to(mat, x.shape[:-1] + (n, d))
 
     return sigma
 

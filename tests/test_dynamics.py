@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               _lane_blocks, _stacked_increments, lifted_step,
+                               _lane_blocks, _noise_term, _stacked_increments,
+                               lifted_step,
                                make_plans, make_preset, preset_linear,
                                simulate_lifted, simulate_lifted_ensemble,
                                simulate_volterra_direct, step_operators,
@@ -212,6 +215,78 @@ def test_noise_memory_bounded_in_batch():
     finally:
         tracemalloc.stop()
     assert peak - generators <= 1.01 * 2 ** 19 * 8
+
+
+def test_held_rows_keep_their_values_across_blocks():
+    # a 4096-trajectory, d = 2 batch draws 31 steps a block; holding every
+    # row of 5 blocks shows any block overwritten while a consumer still
+    # holds it, in the first and the last lane block
+    h = 0.01
+    plans = make_plans(3, 4096, h, 150 * h, d=2)
+    rows = np.stack(list(_stacked_increments(plans)))
+    assert rows.shape == (150, 4096, 2)
+    for j in (0, 1, 130, 255, 3840, 3969, 4094, 4095):
+        np.testing.assert_array_equal(rows[:, j], plans[j].increments())
+
+
+def test_closing_the_noise_joins_its_worker():
+    before = threading.active_count()
+    noise = _stacked_increments(make_plans(0, 4, 0.01, 10.0))
+    next(noise)
+    assert threading.active_count() == before + 1
+    noise.close()
+    assert threading.active_count() == before
+
+
+def _inf_at_call(k, row):
+    """A zero drift that returns inf in one row at its k-th call."""
+    calls = itertools.count(1)
+
+    def b(x):
+        out = np.zeros_like(x)
+        if next(calls) == k:
+            out[row] = np.inf
+        return out
+
+    return CoefficientModel(b=b, sigma=lambda x: np.ones(x.shape + (1,)))
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_abort_mid_run_leaves_no_thread(coupled):
+    # the drift turns non-finite at call 300, in the second of four noise
+    # blocks of 256 steps; the coupled pair calls it twice a step
+    comp = build_component(make_expsum_basis([(1.0, EYE, EYE)]), 1, 2.0)
+    coeffs = _inf_at_call(300, 2)
+    plans = make_plans(0, 4, 0.01, 10.0, first_index=10)
+    z = np.zeros((1, 1))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as err:
+        if coupled:
+            simulate_coupled_pair(comp, coeffs, build_custom(comp, [EYE]),
+                                  1.0, z, z, plans)
+        else:
+            simulate_lifted_ensemble(comp, coeffs, z, plans)
+    step = 150 if coupled else 300
+    assert f"at step {step}, trajectory 12" in str(err.value)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_noise_term_is_the_einsum(d):
+    # one multiply-add per noise column, in column order: einsum's bits for
+    # d <= 2; at d = 3 only the order of the sum may differ
+    rng = np.random.default_rng(d)
+    sigma = rng.standard_normal((1000, 3, d))
+    dw = rng.standard_normal((1000, d))
+    got = _noise_term(sigma, dw)
+    want = np.einsum("tpd,td->pt", sigma, dw)
+    if d < 3:
+        np.testing.assert_array_equal(got, want)
+    else:
+        # relative to the sum of the terms' magnitudes, which cancellation
+        # in a single entry does not shrink
+        scale = np.einsum("tpd,td->pt", np.abs(sigma), np.abs(dw))
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def test_ensemble_memory_bounded_in_horizon():
