@@ -393,14 +393,27 @@ def simulate_volterra_direct(kernels, coeffs, forcing, plans):
 
 # -- coefficient presets -----------------------------------------------------
 
-def _const_sigma(value, n, d):
-    mat = np.broadcast_to(np.atleast_2d(value), (n, d)).astype(float)
+def _const_diffusion(sigma0, n):
+    """CoefficientModel fields of the constant diffusion sigma0 * I, or of
+    sigma0 itself when it is an (n, n) matrix: C_ssub is its Frobenius
+    norm, and 1 / C_UE the least eigenvalue of sigma sigma^T (C_UE None
+    when that is 0)."""
+    mat = np.asarray(sigma0, dtype=float)
+    if mat.ndim == 0:
+        least = float(sigma0) ** 2
+        mat = mat * np.eye(n)
+    elif mat.shape == (n, n):
+        least = np.linalg.eigvalsh(mat @ mat.T)[0]
+    else:
+        raise ValueError(f"sigma0 must be a number or an (n, d) = ({n}, {n}) "
+                         f"matrix, got shape {mat.shape}")
 
     def sigma(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(mat, x.shape[:-1] + (n, d))
+        return np.broadcast_to(mat, np.shape(x)[:-1] + (n, n))
 
-    return sigma
+    return dict(sigma=sigma, n=n, d=n, C_sLip=0.0, p=0.5,
+                C_ssub=float(np.linalg.norm(mat)),
+                C_UE=1.0 / least if least > 0.0 else None)
 
 
 def preset_linear(beta=1.0, c=0.0, sigma0=1.0, n=1):
@@ -417,12 +430,9 @@ def preset_linear(beta=1.0, c=0.0, sigma0=1.0, n=1):
     # <b(x), x> = -beta |x|^2 + <c, x> <= (-beta + eps)|x|^2 + |c|^2/(4 eps)
     eps = 0.5 if np.any(cvec != 0.0) else 0.0
     return CoefficientModel(
-        b=b, sigma=_const_sigma(sigma0, n, n), n=n, d=n,
-        C_bLip=abs(beta), C_sLip=0.0,
-        gamma=max(-beta + eps, 1e-12),
+        b=b, C_bLip=abs(beta), gamma=max(-beta + eps, 1e-12),
         C_bLG=float(np.dot(cvec, cvec)) / 2.0 + 1e-12,
-        p=0.5, C_ssub=abs(sigma0) * math.sqrt(n),
-        C_UE=1.0 / sigma0 ** 2 if sigma0 != 0.0 else None)
+        **_const_diffusion(sigma0, n))
 
 
 def preset_tanh(scale=1.0, sigma0=1.0, n=1):
@@ -432,11 +442,9 @@ def preset_tanh(scale=1.0, sigma0=1.0, n=1):
         return -x + scale * np.tanh(x)
 
     return CoefficientModel(
-        b=b, sigma=_const_sigma(sigma0, n, n), n=n, d=n,
-        C_bLip=1.0 + abs(scale), C_sLip=0.0,
+        b=b, C_bLip=1.0 + abs(scale),
         gamma=max(abs(scale) - 1.0, 1e-12) if scale >= 0 else 1e-12,
-        C_bLG=abs(scale) + 1.0,
-        p=0.5, C_ssub=abs(sigma0) * math.sqrt(n), C_UE=1.0 / sigma0 ** 2)
+        C_bLG=abs(scale) + 1.0, **_const_diffusion(sigma0, n))
 
 
 def preset_double_well(sigma0=1.0, n=1, gamma=0.25):
@@ -451,10 +459,9 @@ def preset_double_well(sigma0=1.0, n=1, gamma=0.25):
         return -x * (sq - 1.0)
 
     return CoefficientModel(
-        b=b, sigma=_const_sigma(sigma0, n, n), n=n, d=n,
-        C_bLip=None, C_sLip=0.0,
-        gamma=gamma, C_bLG=((1.0 - gamma) / 2.0) ** 2 + 1e-12,
-        p=0.5, C_ssub=abs(sigma0) * math.sqrt(n), C_UE=1.0 / sigma0 ** 2)
+        b=b, C_bLip=None, gamma=gamma,
+        C_bLG=((1.0 - gamma) / 2.0) ** 2 + 1e-12,
+        **_const_diffusion(sigma0, n))
 
 
 PRESETS = {

@@ -516,6 +516,34 @@ def test_presets_pass_spot_checks():
     assert all(flags.values()), [k for k, v in flags.items() if not v]
 
 
+def test_preset_diffusion_is_full_rank():
+    # a number sigma0 drives each of the n components with its own
+    # Brownian motion, so sigma sigma^T is sigma0^2 I as C_UE declares
+    coeffs = make_preset("tanh", n=2)
+    np.testing.assert_array_equal(coeffs.sigma(0), np.eye(2))
+    assert coeffs.sigma(np.zeros((5, 2))).shape == (5, 2, 2)
+    assert coeffs.C_UE == 1.0
+    mat = [[2.0, 0.0], [1.0, 1.0]]
+    coeffs = make_preset("linear", n=2, sigma0=mat)
+    np.testing.assert_array_equal(coeffs.sigma(np.zeros(2)), mat)
+    least = np.linalg.eigvalsh(np.array(mat) @ np.array(mat).T)[0]
+    assert coeffs.C_UE == pytest.approx(1.0 / least, rel=1e-14)
+    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+        make_preset("double_well", n=2, sigma0=np.ones((2, 3)))
+
+
+def test_coupled_pair_runs_on_a_two_dimensional_preset():
+    # the all-ones diffusion of a scalar sigma0 had a singular Gram matrix
+    basis = make_expsum_basis([(1.0, np.eye(2), np.eye(2))])
+    comp = build_component(basis, 2, theta_max=2.0)
+    run = simulate_coupled_pair(
+        comp, make_preset("linear", n=2), build_custom(comp, [np.eye(2)]),
+        1.0, np.ones((1, 2)), np.zeros((1, 2)), make_plans(0, 8, 0.05, 1.0,
+                                                            d=2))
+    assert np.all(np.isfinite(run.mean_dist))
+    assert run.mean_dist[-1] < run.mean_dist[0]
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         make_preset("cubic")
