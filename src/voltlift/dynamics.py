@@ -153,11 +153,13 @@ def _stacked_increments(plans):
     todo, done = threading.Semaphore(0), threading.Semaphore(0)
 
     def work():
-        while todo.acquire() and slot[0] is not None:
+        while todo.acquire() and (out := slot[0]) is not None:
             try:
-                fill(slot[0])
-            except BaseException as exc:
+                fill(out)
+            except BaseException as exc:  # raised in the calling thread
                 slot[1] = exc
+            # drop the block, so that the thread that made it frees it
+            del out
             done.release()
 
     def submit(start):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -227,6 +228,35 @@ def test_held_rows_keep_their_values_across_blocks():
     assert rows.shape == (150, 4096, 2)
     for j in (0, 1, 130, 255, 3840, 3969, 4094, 4095):
         np.testing.assert_array_equal(rows[:, j], plans[j].increments())
+
+
+def test_concurrent_noise_sources_keep_their_rows():
+    # four consumers, each with its own worker, on two cores, switching
+    # threads every microsecond: a block handed over too early or filled
+    # twice shows in the rows
+    h = 0.1
+    plans = make_plans(5, 300, h, 3.5 * NOISE_BLOCK_STEPS * h)
+    want = np.stack([plans[j].increments() for j in (0, 299)], axis=1)
+    got = [None] * 4
+
+    def consume(k):
+        got[k] = np.stack([dw[[0, 299]].copy()
+                           for dw in _stacked_increments(plans)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for rows in got:
+        np.testing.assert_array_equal(rows, want)
 
 
 def test_closing_the_noise_joins_its_worker():
