@@ -251,9 +251,6 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
      2, 2),
     ("simulate", {"coefficients": {"preset": "linear", "c": [1.0, 2.0],
                                    "n": 1}}, "c must", 2, 2),
-    ("simulate", {"coefficients": {"preset": "tanh", "sigma0": [1.0, 2.0]}},
-     "sigma0 must be a number or an (n, d) = (1, 1) matrix, got shape (2,)",
-     2, 2),
     # no t_grid entry in (0, scheme.T], which the runner checks
     ("ergodic", {"t_grid": [5.0]}, "t_grid", 0, 2),
     # certification chooses m, delta and L together
@@ -274,6 +271,10 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
      "coupling.L", 2, 2),
     ("coupling", {"coupling": {"lam": -1.0}, "coefficients": TANH},
      "coupling.lam", 2, 2),
+    # a preset's sigma0 is a number or an (n, n) matrix
+    ("simulate", {"coefficients": {"preset": "tanh", "sigma0": [1.0, 2.0]}},
+     "sigma0 must be a number or an (n, d) = (1, 1) matrix, got shape (2,)",
+     2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
