@@ -410,8 +410,16 @@ def _const_diffusion(sigma0, n):
         raise ValueError(f"sigma0 must be a number or an (n, d) = ({n}, {n}) "
                          f"matrix, got shape {mat.shape}")
 
+    # one read-only broadcast view per leading shape, built on first use:
+    # a coupled run asks for the same shape three times a step
+    views = {}
+
     def sigma(x):
-        return np.broadcast_to(mat, np.shape(x)[:-1] + (n, n))
+        lead = np.shape(x)[:-1]
+        view = views.get(lead)
+        if view is None:
+            view = views[lead] = np.broadcast_to(mat, lead + (n, n))
+        return view
 
     return dict(sigma=sigma, n=n, d=n, C_sLip=0.0, p=0.5,
                 C_ssub=float(np.linalg.norm(mat)),

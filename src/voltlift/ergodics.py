@@ -7,6 +7,7 @@ floors rather than analytic rates.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,20 +46,90 @@ def wasserstein1_1d(samples_a, samples_b):
                         for s in (samples_a, samples_b)))
 
 
+def _directions(seed, n):
+    """The unit directions of sliced_w1, (n_dirs, n): the single direction 1
+    when n = 1, else N_DIRECTIONS drawn from the diagnostic stream keyed by
+    seed."""
+    if n == 1:
+        return np.ones((1, 1))
+    dirs = keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal(
+        (N_DIRECTIONS, n))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 def sliced_w1(samples_a, samples_b, seed=0):
     """Mean exact W1 of two samples of (N, n) rows (a 1-d sample: n = 1)
-    projected onto unit directions: 1 when n = 1, which is wasserstein1_1d,
-    else N_DIRECTIONS drawn from the diagnostic stream keyed by seed."""
+    projected onto the _directions of seed; for n = 1 that is
+    wasserstein1_1d."""
     a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
             for s in (samples_a, samples_b))
-    n = a.shape[-1]
-    dirs = (keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal(
-        (N_DIRECTIONS, n)) if n > 1 else np.ones((1, 1)))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _directions(seed, a.shape[-1])
     pa, pb = dirs @ a.T, dirs @ b.T
     pa.sort(axis=1)
     pb.sort(axis=1)
     return _w1_sorted(pa, pb)
+
+
+def _bootstrap_w1(pairs, sizes, n_boot, draw, statistic, seed):
+    """(n_boot,) replicates of statistic(w), where w[i] is
+    sliced_w1(A_i[ia], B_i[ib], seed) over pairs [(A_i, B_i)] of rows of
+    dimension n, and (ia, ib) = draw() is the replicate's resample, of the
+    two sizes.
+
+    The calling thread and one worker each take the next replicate number
+    and draw its resample under one lock, so replicate j always gets the
+    j-th draw and its value goes to slot j, whichever thread runs it.
+    Each thread gathers, projects and sorts into buffers of its own, which
+    the calling thread allocates (see dynamics._stacked_increments), and
+    copies its draw into them before it lets go of the lock: only one
+    drawn pair is alive at a time.  The sort and the product release the
+    interpreter lock, so the two threads' sorts overlap.  The worker is
+    joined before this returns, and what it raised is raised here."""
+    n = pairs[0][0].shape[-1]
+    dirs = _directions(seed, n)
+    out = np.empty(n_boot)
+    replicates = iter(range(n_boot))
+    lock = threading.Lock()
+    failed = []
+
+    def buffers():
+        return ([(np.empty(m, dtype=np.int64), np.empty((m, n)),
+                  np.empty((len(dirs), m))) for m in sizes],
+                np.empty(len(pairs)))
+
+    def work(buf):
+        ((ia, rows_a, proj_a), (ib, rows_b, proj_b)), w = buf
+        try:
+            while not failed:
+                with lock:
+                    j = next(replicates, None)
+                    if j is None:
+                        return
+                    ia[:], ib[:] = draw()
+                for i, (a, b) in enumerate(pairs):
+                    # mode "clip" gathers straight into rows; "raise" would
+                    # gather into a temporary first
+                    np.take(a, ia, axis=0, out=rows_a, mode="clip")
+                    np.take(b, ib, axis=0, out=rows_b, mode="clip")
+                    np.matmul(dirs, rows_a.T, out=proj_a)
+                    np.matmul(dirs, rows_b.T, out=proj_b)
+                    proj_a.sort(axis=1)
+                    proj_b.sort(axis=1)
+                    w[i] = _w1_sorted(proj_a, proj_b)
+                out[j] = statistic(w)
+        except BaseException as exc:  # raised in the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=work, args=(buffers(),),
+                              name="voltlift-bootstrap", daemon=True)
+    worker.start()
+    try:
+        work(buffers())
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return out
 
 
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
@@ -69,11 +140,13 @@ def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
             for s in (samples_a, samples_b))
     pool = np.concatenate([a, b])
     gen = keyed_generator(seed, DIAGNOSTIC_STREAM + 1)
-    vals = np.empty(n_boot)
-    for i in range(n_boot):
-        xa = pool[gen.choice(len(pool), size=len(a))]
-        xb = pool[gen.choice(len(pool), size=len(b))]
-        vals[i] = sliced_w1(xa, xb, seed=seed)
+
+    def draw():
+        return (gen.choice(len(pool), size=len(a)),
+                gen.choice(len(pool), size=len(b)))
+
+    vals = _bootstrap_w1([(pool, pool)], (len(a), len(b)), n_boot, draw,
+                         lambda w: w[0], seed)
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 
@@ -126,24 +199,20 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
                                    T, times)
     _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
                            first_index=n_traj)
-
-    def marginal_w1(sa, sb):
-        return np.array([sliced_w1(sa[i], sb[i], seed=seed)
-                         for i in range(len(times))])
-
-    w1 = marginal_w1(ens1, ens2)
+    w1 = np.array([sliced_w1(sa, sb, seed=seed) for sa, sb in zip(ens1, ens2)])
     r_hat, intercept = decay_rate(sim_times, w1)
     # (seed, 2) is also the key of lane block 2, trajectories 512-767;
     # moving it to the diagnostic range waits on a fit that leaves out W1
     # values at the noise floor, which bias r_hat low (see ROADMAP)
     gen = keyed_generator(seed, 2)
-    boots = []
-    for _ in range(n_boot):
-        ia = gen.integers(0, n_traj, n_traj)
-        ib = gen.integers(0, n_traj, n_traj)
-        r_b = decay_rate(sim_times, marginal_w1(ens1[:, ia], ens2[:, ib]))[0]
-        if np.isfinite(r_b):
-            boots.append(r_b)
+
+    def draw():
+        return (gen.integers(0, n_traj, n_traj),
+                gen.integers(0, n_traj, n_traj))
+
+    rates = _bootstrap_w1(list(zip(ens1, ens2)), (n_traj, n_traj), n_boot,
+                          draw, lambda w: decay_rate(sim_times, w)[0], seed)
+    boots = rates[np.isfinite(rates)]
     r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
     return DecayFit(times=sim_times, w1=w1, r_hat=float(r_hat),
                     intercept=float(intercept), r_stderr=r_se)

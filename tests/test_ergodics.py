@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +13,11 @@ from scipy import stats
 from voltlift.discretize import build_component
 from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
                                make_preset, simulate_lifted)
-from voltlift.ergodics import (_spearman, ergodic_decay,
-                               lift_independence_test, noise_floor,
-                               run_ensemble, sliced_w1, stationarity_test,
-                               wasserstein1_1d)
+from voltlift.ergodics import (N_DIRECTIONS, _bootstrap_w1, _directions,
+                               _spearman, _w1_sorted, decay_rate,
+                               ergodic_decay, lift_independence_test,
+                               noise_floor, run_ensemble, sliced_w1,
+                               stationarity_test, wasserstein1_1d)
 from voltlift.kernelbasis import make_expsum_basis
 
 EYE = np.eye(1)
@@ -109,6 +114,17 @@ def test_sliced_w1_directions_are_not_trajectory_noise():
     dirs = noise / np.linalg.norm(noise, axis=1, keepdims=True)
     from_noise = np.mean([wasserstein1_1d(a @ u, b @ u) for u in dirs])
     assert sliced_w1(a, b, seed=5) != from_noise
+
+
+def test_directions_are_one_at_n1():
+    # at n = 1 the statistic and its bootstrap slice along the line itself,
+    # once: 32 copies of it would give the same W1 at 32 times the sorts
+    np.testing.assert_array_equal(_directions(4, 1), [[1.0]])
+    dirs = _directions(4, 3)
+    assert dirs.shape == (N_DIRECTIONS, 3)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                               rtol=1e-15)
+    np.testing.assert_array_equal(dirs, _directions(4, 3))
 
 
 def test_noise_floor_deterministic_and_positive():
@@ -246,3 +262,173 @@ def test_lift_independence_rejects_mismatched_kernels():
     with pytest.raises(ValueError, match="different"):
         lift_independence_test(a, b, coeffs, T=1.0, n_traj=8)
 
+
+
+# -- the two-thread bootstrap against the single-thread loops it replaced ----
+
+def _sliced_w1_one_thread(samples_a, samples_b, seed):
+    a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
+            for s in (samples_a, samples_b))
+    n = a.shape[-1]
+    dirs = (keyed_generator(seed, DIAGNOSTIC_STREAM).standard_normal((32, n))
+            if n > 1 else np.ones((1, 1)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pa, pb = dirs @ a.T, dirs @ b.T
+    pa.sort(axis=1)
+    pb.sort(axis=1)
+    return _w1_sorted(pa, pb)
+
+
+def _noise_floor_one_thread(a, b, n_boot, seed):
+    a, b = (np.asarray(s, float).reshape(len(s), -1) for s in (a, b))
+    pool = np.concatenate([a, b])
+    gen = keyed_generator(seed, DIAGNOSTIC_STREAM + 1)
+    vals = np.empty(n_boot)
+    for i in range(n_boot):
+        xa = pool[gen.choice(len(pool), size=len(a))]
+        xb = pool[gen.choice(len(pool), size=len(b))]
+        vals[i] = _sliced_w1_one_thread(xa, xb, seed)
+    return float(vals.mean() + 3.0 * vals.std(ddof=1))
+
+
+def _decay_rates_one_thread(ens1, ens2, times, n_boot, seed):
+    """Every replicate's rate, NaN included, in replicate order."""
+    n_traj = ens1.shape[1]
+    gen = keyed_generator(seed, 2)
+    rates = []
+    for _ in range(n_boot):
+        ia = gen.integers(0, n_traj, n_traj)
+        ib = gen.integers(0, n_traj, n_traj)
+        w1 = np.array([_sliced_w1_one_thread(ens1[i, ia], ens2[i, ib], seed)
+                       for i in range(len(times))])
+        rates.append(decay_rate(times, w1)[0])
+    return np.array(rates)
+
+
+def _r_stderr_one_thread(rates):
+    boots = [r for r in rates if np.isfinite(r)]
+    return float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
+
+
+@pytest.fixture
+def switching():
+    """Switch threads every microsecond while the test runs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _ensembles(n, y1, y2, n_traj, times, sigma0=1.0):
+    mat = np.eye(n)
+    comp = build_component(make_expsum_basis([(1.0, mat, mat)]), 1, 2.0)
+    coeffs = make_preset("tanh", n=n, scale=0.5, sigma0=sigma0)
+    sim, ens1 = run_ensemble(comp, coeffs, y1, 3, n_traj, 0.05, max(times),
+                             times)
+    ens2 = run_ensemble(comp, coeffs, y2, 3, n_traj, 0.05, max(times), times,
+                        first_index=n_traj)[1]
+    return comp, coeffs, sim, ens1, ens2
+
+
+@pytest.mark.parametrize("n_boot", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_bootstrap_keeps_the_single_thread_bits(switching, n, n_boot):
+    times = [0.1, 0.2, 0.4]
+    y1, y2 = np.ones((1, n)), np.zeros((1, n))
+    comp, coeffs, sim, ens1, ens2 = _ensembles(n, y1, y2, 48, times)
+    fit = ergodic_decay(comp, coeffs, y1, y2, 48, times, seed=3, h=0.05,
+                        n_boot=n_boot)
+    want = _r_stderr_one_thread(
+        _decay_rates_one_thread(ens1, ens2, sim, n_boot, 3))
+    np.testing.assert_array_equal(fit.r_stderr, want)
+    # unequal sizes take the merged-quantile W1
+    a, b = ens1[-1], ens2[-1][:30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # std of one value
+        np.testing.assert_array_equal(
+            noise_floor(a, b, n_boot=n_boot, seed=5),
+            _noise_floor_one_thread(a, b, n_boot, 5))
+
+
+def test_bootstrap_keeps_nan_replicates_in_order(switching):
+    # no noise, and both ensembles start from the same two states: a
+    # replicate that draws the same rows on both sides has W1 = 0 at every
+    # time, so a NaN rate, and the others a finite one
+    times = [0.1, 0.2, 0.4]
+    y = np.array([[[1.0]], [[-0.5]]])
+    comp, coeffs, sim, ens1, ens2 = _ensembles(1, y, y, 2, times, sigma0=0.0)
+    want = _decay_rates_one_thread(ens1, ens2, sim, 9, 3)
+    assert np.isnan(want).any() and np.isfinite(want).sum() > 2
+    gen = keyed_generator(3, 2)
+    got = _bootstrap_w1(
+        list(zip(ens1, ens2)), (2, 2), 9,
+        lambda: (gen.integers(0, 2, 2), gen.integers(0, 2, 2)),
+        lambda w: decay_rate(sim, w)[0], 3)
+    np.testing.assert_array_equal(got, want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # Lyapunov check
+        fit = ergodic_decay(comp, coeffs, y, y, 2, times, seed=3, h=0.05,
+                            n_boot=9)
+    np.testing.assert_array_equal(fit.r_stderr, _r_stderr_one_thread(want))
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_bootstrap_joins_its_worker(fail):
+    # the worker's replicates are slow, so a caller that did not wait for
+    # it would finish first: return before its value is in, or miss what
+    # it raised
+    caller = threading.get_ident()
+    ran_on = []
+
+    def statistic(w):
+        ran_on.append(threading.get_ident())
+        if threading.get_ident() == caller:
+            time.sleep(0.01)
+            return w[0]
+        time.sleep(0.2)
+        if fail:
+            raise ZeroDivisionError("a replicate on the worker")
+        return w[0]
+
+    x = np.random.default_rng(0).standard_normal((16, 1))
+    gen = np.random.default_rng(1)
+
+    def draw():
+        return gen.integers(0, 16, 16), gen.integers(0, 16, 16)
+
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(ZeroDivisionError, match="on the worker"):
+            _bootstrap_w1([(x, x)], (16, 16), 6, draw, statistic, 0)
+    else:
+        out = _bootstrap_w1([(x, x)], (16, 16), 6, draw, statistic, 0)
+        assert np.all(out > 0.0)
+    assert threading.active_count() == before
+    assert set(ran_on) - {caller}
+
+
+def test_bootstrap_memory_bounded():
+    # 100 replicates of two (6, 4096, 2) ensembles, the ergodic_2d shape,
+    # hold the two threads' buffers (an index pair, the gathered rows and
+    # the projections each) and the one pair just drawn; 1% covers the
+    # directions, the fits and the frames around them
+    n_traj, n = 4096, 2
+    ens = np.random.default_rng(2).standard_normal((2, 6, n_traj, n))
+    times = np.arange(1.0, 7.0)
+    gen = keyed_generator(0, 2)
+
+    def draw():
+        return (gen.integers(0, n_traj, n_traj),
+                gen.integers(0, n_traj, n_traj))
+
+    pair = 2 * n_traj * 8
+    per_thread = pair + 2 * n_traj * n * 8 + 2 * N_DIRECTIONS * n_traj * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _bootstrap_w1(list(zip(*ens)), (n_traj, n_traj), 100, draw,
+                      lambda w: decay_rate(times, w)[0], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.01 * (2 * per_thread + pair)
