@@ -99,10 +99,12 @@ def _resolve(key, value, default):
           or key.startswith("coupling.")):
         expected = "a finite positive number"
         ok = _is_number(value) and value > 0
-    elif isinstance(default, int):  # k, seed, trajectories, ladder rungs
-        least = 0 if key == "rng.seed" else 1
-        expected = f"an integer of at least {least}"
-        ok = _is_number(value) and isinstance(value, int) and value >= least
+    elif key == "rng.seed":  # the first word of a Philox key
+        expected = "an integer in [0, 2**64)"
+        ok = type(value) is int and 0 <= value < 2 ** 64
+    elif isinstance(default, int):  # k, trajectories, ladder rungs
+        expected = "an integer of at least 1"
+        ok = _is_number(value) and isinstance(value, int) and value >= 1
     else:
         auto = default == "auto"  # theta_max
         expected = 'a finite number or "auto"' if auto else "a finite number"
@@ -417,12 +419,12 @@ def main(argv=None):
             _build_inputs(cfg)  # all of run but discretizing and simulating
             print("config ok")
             return 0
+        if args.seed_override is not None:
+            cfg["rng"]["seed"] = _resolve("rng.seed", args.seed_override, 0)
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed_override is not None:
-        cfg["rng"]["seed"] = args.seed_override
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
     try:
         run_experiment(cfg, out_dir)

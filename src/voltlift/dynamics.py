@@ -117,17 +117,73 @@ def _lane_blocks(plans):
             for key, members in rows.items()]
 
 
+class WorkPair:
+    """Units 0, ..., n - 1 of each submit(n), claimed in turn under one lock
+    by the calling thread and one worker, each with its own of the two
+    buffers the caller allocates: claim(j, buf) runs under the lock, so the
+    j-th claim is unit j's, and run(j, buf) after it.  finish() runs what
+    is left on the calling thread, waits for the worker's unit and raises
+    what it raised.  Leaving the with block joins the worker."""
+
+    def __init__(self, buffers, run, claim=lambda j, buf: None):
+        self.buffers, self.run, self.claim = buffers, run, claim
+        self.cond = threading.Condition()
+        self.next, self.end, self.busy, self.error = 0, 0, False, None
+        self.worker = threading.Thread(target=self._work, args=(1,),
+                                       name="voltlift-worker", daemon=True)
+        self.worker.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.submit(-1)  # no unit is left, nor will be: the worker returns
+        self.worker.join()
+
+    def submit(self, n):
+        with self.cond:
+            self.next, self.end = 0, n
+            self.cond.notify_all()
+
+    def _work(self, worker):
+        # the worker (1) serves until closed, the caller (0) takes what is left
+        buf = self.buffers[worker]
+        try:
+            while True:
+                with self.cond:
+                    if worker:  # its last unit is done; wait for the next
+                        self.busy = False
+                        self.cond.notify_all()
+                        self.cond.wait_for(lambda: self.next != self.end)
+                    if self.next >= self.end or self.error is not None:
+                        return
+                    self.claim(j := self.next, buf)
+                    self.next, self.busy = j + 1, self.busy or worker
+                self.run(j, buf)
+        except BaseException as exc:
+            if not worker:
+                raise
+            with self.cond:  # raised in the calling thread
+                self.error, self.busy = exc, False
+                self.cond.notify_all()
+
+    def finish(self):
+        self._work(0)
+        with self.cond:
+            self.cond.wait_for(lambda: not self.busy)
+            if self.error is not None:
+                raise self.error
+
+
 def _stacked_increments(plans):
     """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
     the values of NoisePlan.increments.  Each lane block's stream is drawn
-    once for all its plans, step-major, a few steps at a time, one block of
-    steps ahead on a worker thread.  The worker only fills arrays this
-    thread allocates, so they stay in its malloc arena.  The next block is
-    handed over once the first row of the current one has been yielded:
-    the consumer has let go of the previous block by then, so the two
-    blocks and the lanes come to at most NOISE_BUFFER normals, flat in T.
-    Closing the generator joins the worker.  Every integrator steps its
-    batch on these, so a plan that disagrees is rejected here."""
+    once for all its plans, step-major, a few steps at a time.  A step
+    block's lane blocks are the units of a WorkPair, submitted once the
+    block before has yielded its first row: two blocks and two lane
+    buffers then hold at most NOISE_BUFFER normals, flat in T.  Every
+    integrator steps its batch on these, so a plan that disagrees is
+    rejected here."""
     first = plans[0]
     shape = (first.h, first.T, first.d)
     for p in plans:
@@ -139,52 +195,27 @@ def _stacked_increments(plans):
     m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
     blocks = _lane_blocks(plans)
     steps = max(1, min(NOISE_BLOCK_STEPS,
-                       NOISE_BUFFER // ((2 * len(plans) + NOISE_LANES) * d)))
-    lanes = np.empty((steps, NOISE_LANES, d))
+                       NOISE_BUFFER // (2 * (len(plans) + NOISE_LANES) * d)))
 
-    def fill(out):
-        for gen, dst, src in blocks:
-            gen.standard_normal(out=lanes[:len(out)])
-            out[:, dst] = lanes[:len(out), src]
-        out *= scale
+    def fill(i, lanes):
+        gen, dst, src = blocks[i]
+        lanes = lanes[:len(out)]
+        gen.standard_normal(out=lanes)
+        lanes *= scale
+        out[:, dst] = lanes[:, src]
 
-    # one-slot handoff: slot holds the block to fill, then what fill raised
-    slot = [None, None]
-    todo, done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def work():
-        while todo.acquire() and (out := slot[0]) is not None:
-            try:
-                fill(out)
-            except BaseException as exc:  # raised in the calling thread
-                slot[1] = exc
-            # drop the block, so that the thread that made it frees it
-            del out
-            done.release()
-
-    def submit(start):
-        # step-major and C-ordered, so each step's rows are contiguous
-        slot[0] = np.empty((min(steps, m - start), len(plans), d))
-        todo.release()
-        return slot[0]
-
-    worker = threading.Thread(target=work, name="voltlift-noise", daemon=True)
-    worker.start()
-    try:
-        out = submit(0)
+    with WorkPair([np.empty((steps, NOISE_LANES, d)) for _ in range(2)],
+                  fill) as pair:
+        rows = iter(())
         for start in range(0, m, steps):
-            done.acquire()
-            if slot[1] is not None:
-                raise slot[1]
+            # step-major and C-ordered, so each step's rows are contiguous
+            out = np.empty((min(steps, m - start), len(plans), d))
+            pair.submit(len(blocks))
+            yield from rows
+            pair.finish()
             rows = iter(out)
             yield next(rows)
-            if start + steps < m:
-                out = submit(start + steps)
-            yield from rows
-    finally:
-        slot[0] = None
-        todo.release()
-        worker.join()
+        yield from rows
 
 
 def make_plans(seed, n_traj, h, T, d=1, first_index=0):

@@ -7,14 +7,13 @@ floors rather than analytic rates.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import build_component, epsilon_k
-from .dynamics import (DIAGNOSTIC_STREAM, keyed_generator, make_plans,
-                       simulate_lifted_ensemble)
+from .dynamics import (DIAGNOSTIC_STREAM, WorkPair, keyed_generator,
+                       make_plans, simulate_lifted_ensemble)
 from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
 
@@ -76,59 +75,37 @@ def _bootstrap_w1(pairs, sizes, n_boot, draw, statistic, seed):
     dimension n, and (ia, ib) = draw() is the replicate's resample, of the
     two sizes.
 
-    The calling thread and one worker each take the next replicate number
-    and draw its resample under one lock, so replicate j always gets the
-    j-th draw and its value goes to slot j, whichever thread runs it.
-    Each thread gathers, projects and sorts into buffers of its own, which
-    the calling thread allocates (see dynamics._stacked_increments), and
-    copies its draw into them before it lets go of the lock: only one
-    drawn pair is alive at a time.  The sort and the product release the
-    interpreter lock, so the two threads' sorts overlap.  The worker is
-    joined before this returns, and what it raised is raised here."""
+    The replicates are the units of a dynamics.WorkPair whose claim hook
+    draws the resample into the thread's buffers, so replicate j always
+    gets the j-th draw and its value goes to slot j.  Each thread gathers,
+    projects and sorts in its own buffers; the sort and the product
+    release the interpreter lock, so the two threads' sorts overlap."""
     n = pairs[0][0].shape[-1]
     dirs = _directions(seed, n)
     out = np.empty(n_boot)
-    replicates = iter(range(n_boot))
-    lock = threading.Lock()
-    failed = []
 
-    def buffers():
-        return ([(np.empty(m, dtype=np.int64), np.empty((m, n)),
-                  np.empty((len(dirs), m))) for m in sizes],
-                np.empty(len(pairs)))
+    def buffers():  # per side: the resample, its rows, their projections
+        return [(np.empty(m, dtype=np.int64), np.empty((m, n)),
+                 np.empty((len(dirs), m))) for m in sizes]
 
-    def work(buf):
-        ((ia, rows_a, proj_a), (ib, rows_b, proj_b)), w = buf
-        try:
-            while not failed:
-                with lock:
-                    j = next(replicates, None)
-                    if j is None:
-                        return
-                    ia[:], ib[:] = draw()
-                for i, (a, b) in enumerate(pairs):
-                    # mode "clip" gathers straight into rows; "raise" would
-                    # gather into a temporary first
-                    np.take(a, ia, axis=0, out=rows_a, mode="clip")
-                    np.take(b, ib, axis=0, out=rows_b, mode="clip")
-                    np.matmul(dirs, rows_a.T, out=proj_a)
-                    np.matmul(dirs, rows_b.T, out=proj_b)
-                    proj_a.sort(axis=1)
-                    proj_b.sort(axis=1)
-                    w[i] = _w1_sorted(proj_a, proj_b)
-                out[j] = statistic(w)
-        except BaseException as exc:  # raised in the calling thread
-            failed.append(exc)
+    def claim(j, buf):
+        buf[0][0][:], buf[1][0][:] = draw()
 
-    worker = threading.Thread(target=work, args=(buffers(),),
-                              name="voltlift-bootstrap", daemon=True)
-    worker.start()
-    try:
-        work(buffers())
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    def run(j, buf):
+        w = np.empty(len(pairs))
+        for i, samples in enumerate(pairs):
+            for x, (idx, rows, proj) in zip(samples, buf):
+                # mode "clip" gathers straight into rows; "raise" would
+                # gather into a temporary first
+                np.take(x, idx, axis=0, out=rows, mode="clip")
+                np.matmul(dirs, rows.T, out=proj)
+                proj.sort(axis=1)
+            w[i] = _w1_sorted(buf[0][2], buf[1][2])
+        out[j] = statistic(w)
+
+    with WorkPair([buffers(), buffers()], run, claim) as replicates:
+        replicates.submit(n_boot)
+        replicates.finish()
     return out
 
 
@@ -250,7 +227,7 @@ def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
     for i in range(lags.size):
         cur = ens[i + 1]
         w1[i] = sliced_w1(ref, cur, seed=seed)
-        floors[i] = noise_floor(ref, cur, n_boot=n_boot, seed=seed + i)
+        floors[i] = noise_floor(ref, cur, n_boot, (seed + i) % 2 ** 64)
     return StationarityResult(lags=lags, w1=w1, floors=floors,
                               passed=w1 <= floors)
 

@@ -159,6 +159,23 @@ def test_seed_override_changes_results(tmp_path):
         (out2 / "results.csv").read_bytes()
 
 
+def test_seed_override_out_of_range_exits_2(tmp_path, capsys):
+    # the override takes the check of rng.seed, in [0, 2**64)
+    cfg = write_config(tmp_path, "sim.json", simulate_config(tmp_path / "o"))
+    for seed in (2 ** 64, -1):
+        assert main(["run", "--config", cfg,
+                     f"--seed-override={seed}"]) == 2, seed
+        err = capsys.readouterr().err
+        assert "rng.seed" in err and "Traceback" not in err
+    # the largest seed runs, and so do the stationarity floors' seed + lag
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="stationarity", burn_in=0.1, lags=[0.1, 0.2])
+    doc["rng"]["trajectories"] = 8
+    cfg = write_config(tmp_path, "stat.json", doc)
+    assert main(["run", "--config", cfg,
+                 f"--seed-override={2 ** 64 - 1}"]) == 0
+
+
 def test_numerical_abort_exit_code(tmp_path, capsys):
     doc = simulate_config(tmp_path / "o")
     # strongly expansive drift with a coarse step overflows in finite time
@@ -275,6 +292,8 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     ("simulate", {"coefficients": {"preset": "tanh", "sigma0": [1.0, 2.0]}},
      "sigma0 must be a number or an (n, d) = (1, 1) matrix, got shape (2,)",
      2, 2),
+    # a seed is the first word of a Philox key
+    ("simulate", {"rng": {"seed": 2 ** 64}}, "rng.seed", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
@@ -382,6 +401,28 @@ def test_resolved_configs_rerun_to_the_same_bytes(shipped_runs, tmp_path):
         assert rc == 0, stem
     assert _digests({stem: tmp_path / stem for stem in shipped_runs}) \
         == _digests(shipped_runs)
+
+
+def test_two_dimensional_run_keeps_its_bytes(tmp_path):
+    # the ergodic_2d benchmark workload, shortened: no shipped config has
+    # n = 2, so this pins the d = 2 noise and the 32-direction bootstrap
+    doc = {"experiment": "ergodic",
+           "basis": {"kind": "expsum", "terms": [
+               {"rate": 1.0, "Mb": [[1.0, 0.0], [0.0, 1.0]],
+                "Ms": [[1.0, 0.3], [0.3, 1.0]]}]},
+           "coefficients": {"preset": "tanh", "n": 2, "scale": 0.5,
+                            "sigma0": 1.0},
+           "scheme": {"h": 0.01, "T": 4.0},
+           "t_grid": [0.5, 1, 2, 4],
+           "rng": {"seed": 17, "trajectories": 512},
+           "initial": {"y1": 1.0, "y2": 0.0}}
+    cfg = write_config(tmp_path, "ergodic_2d.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _digests({"ergodic_2d": tmp_path / "o"}) == {
+        "ergodic_2d/results.csv":
+            "4855b4ceab5211e6e212eceda65aa4f69f80b697e2a70d32dccc9484db956fc4",
+        "ergodic_2d/verdict.json":
+            "e7c45fd4434b08c3e87b29354d6b53c871523ded987b3ab676f89cc77b6b7492"}
 
 
 _NO_SCIPY_RUN = """

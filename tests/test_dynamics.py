@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
+from voltlift import dynamics
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               _lane_blocks, _noise_term, _stacked_increments,
-                               lifted_step,
+                               WorkPair, _lane_blocks, _noise_term,
+                               _stacked_increments, lifted_step,
                                make_plans, make_preset, preset_linear,
                                simulate_lifted, simulate_lifted_ensemble,
                                simulate_volterra_direct, step_operators,
@@ -219,7 +221,7 @@ def test_noise_memory_bounded_in_batch():
 
 
 def test_held_rows_keep_their_values_across_blocks():
-    # a 4096-trajectory, d = 2 batch draws 31 steps a block; holding every
+    # a 4096-trajectory, d = 2 batch draws 30 steps a block; holding every
     # row of 5 blocks shows any block overwritten while a consumer still
     # holds it, in the first and the last lane block
     h = 0.01
@@ -299,6 +301,81 @@ def test_abort_mid_run_leaves_no_thread(coupled):
     step = 150 if coupled else 300
     assert f"at step {step}, trajectory 12" in str(err.value)
     assert threading.active_count() == before
+
+
+class _FailsOnSecondFill:
+    """A lane block's generator that raises on its second fill."""
+
+    def __init__(self, gen):
+        self.gen, self.fills = gen, 0
+
+    def standard_normal(self, out):
+        self.fills += 1
+        if self.fills == 2:
+            raise ZeroDivisionError("second fill")
+        return self.gen.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("block", [0, 15])
+def test_a_failed_fill_leaves_no_thread(monkeypatch, block):
+    # 4096 trajectories, d = 1: 16 lane blocks, 60 steps a block.  Lane
+    # block `block` fails in the second step block; its error reaches the
+    # consumer after the first block's rows, and the worker is joined.
+    # The consumer is slow, so the worker claims the first lane block;
+    # either thread may claim the last
+    lane_blocks = dynamics._lane_blocks
+
+    def failing(plans):
+        blocks = lane_blocks(plans)
+        gen, dst, src = blocks[block]
+        blocks[block] = (_FailsOnSecondFill(gen), dst, src)
+        return blocks
+
+    monkeypatch.setattr(dynamics, "_lane_blocks", failing)
+    plans = make_plans(0, 4096, 0.01, 2.0)
+    before = threading.active_count()
+    rows = 0
+    with pytest.raises(ZeroDivisionError, match="second fill"):
+        for _ in _stacked_increments(plans):
+            rows += 1
+            time.sleep(1e-4)
+    assert rows == 60
+    assert threading.active_count() == before
+
+
+def test_work_pair_runs_each_unit_once_in_its_slot():
+    # a thread's claim and run share its buffer: a unit run twice, skipped,
+    # claimed out of order or run on the other thread's claim shows here
+    claims, runs, out, ran_on = [], np.zeros(200, int), np.full(200, -1), set()
+
+    def claim(j, buf):
+        claims.append(j)
+        buf[0] = j
+
+    def run(j, buf):
+        runs[j] += 1
+        ran_on.add(threading.get_ident())
+        time.sleep(1e-4)
+        out[j] = 3 * buf[0]
+
+    def share():
+        with WorkPair([[None], [None]], run, claim) as pair:
+            pair.submit(200)
+            pair.finish()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=share)
+        caller.start()
+        caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert claims == list(range(200))
+    np.testing.assert_array_equal(runs, 1)
+    np.testing.assert_array_equal(out, 3 * np.arange(200))
+    assert len(ran_on) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
