@@ -12,7 +12,6 @@ import argparse
 import copy
 import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -57,8 +56,9 @@ SCHEMA = {
 
 
 def _is_number(v):
+    # compared exactly, an int beyond the float range is not finite
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _check_leaves(key, value):

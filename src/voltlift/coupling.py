@@ -18,6 +18,9 @@ from .dynamics import (_batch, _by_trajectory, _check_finite,
 from .ergodics import decay_rate
 from .weights import mu_sigma_phi, weighted_norms
 
+# steps whose distances are held before their mean and standard error
+STAT_ROWS = 16
+
 
 @dataclass(frozen=True)
 class CoupledRun:
@@ -73,18 +76,20 @@ def _control(coeffs, xh, v, lam):
 def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     """Coupled ensemble from initial lifted states y1, y2 (one state, or
     one per trajectory); plans is a list of NoisePlan with common (h, T).
-    It runs in the calling thread: see README, Determinism."""
+    It runs in the calling thread: see README, Determinism.  Step s's
+    distances wait in row s % STAT_ROWS until their block of rows is full:
+    one mean_stderr per block gives each row the bits of its own call."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
     h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
     batch = _batch(plans)
-    ops = step_operators(component, h, lam)
+    ops = step_operators(component, h, lam, len(batch))
     y, x = _initial_states(ops, y1, plans)
     yh, xh = _initial_states(ops, y2, plans)
 
     mean, stderr = np.empty(m + 1), np.empty(m + 1)
-    v, dist = _gap(component, table, y, yh)
-    mean[0], stderr[0] = mean_stderr(dist[:n_traj])
+    rows = np.empty((STAT_ROWS, len(batch)))
+    v, rows[0] = _gap(component, table, y, yh)
     energy = np.zeros(n_traj)
     with closing(_stacked_increments(batch)) as noise:
         for step, dw in enumerate(noise, start=1):
@@ -93,8 +98,13 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
             energy += 0.5 * h * np.sum(u ** 2, axis=-1)
             y, yh, x, xh, v, dist = _coupled_step(
                 component, coeffs, table, ops, y, yh, x, xh, v, dw)
-            _check_finite("coupled", step, batch, y, yh)
-            mean[step], stderr[step] = mean_stderr(dist[:n_traj])
+            _check_finite("coupled", step, batch, y, yh, observed=(x, xh))
+            if step % STAT_ROWS == 0:  # the rows hold the block before
+                block = slice(step - STAT_ROWS, step)
+                mean[block], stderr[block] = mean_stderr(rows[:, :n_traj])
+            rows[step % STAT_ROWS] = dist
+    block = slice(m - m % STAT_ROWS, m + 1)
+    mean[block], stderr[block] = mean_stderr(rows[:m % STAT_ROWS + 1, :n_traj])
     return CoupledRun(times=np.arange(m + 1) * h, mean_dist=mean,
                       stderr_dist=stderr, energy=energy,
                       y_final=_by_trajectory(component, y)[:n_traj].copy(),

@@ -235,7 +235,7 @@ class StepOperators:
     operators on trajectory-last states z of shape (I*n, n_traj), row i*n+p
     holding entry p of factor i."""
     n: int
-    decay: np.ndarray    # (I*n, 1): exp(-a h), repeated over n
+    decay: np.ndarray    # (I*n, width): exp(-a h), repeated over n and width
     forcing: np.ndarray  # (k*n, I*n): [(lam phi M_s ;) phi M_b ; decay M_s]
     w: np.ndarray        # (I,): x = sum_i w_i z_i
 
@@ -244,12 +244,13 @@ class StepOperators:
                                                         -1))
 
 
-def step_operators(component, h, lam=None):
+def step_operators(component, h, lam=None, width=1):
     """Operators of the step; lam adds the coupling control's block, which
     the controlled copy applies to v = mu_{sigma,Phi}[y - yh].  It comes
     first, so that the noise is summed last: once y - yh falls below the
     states' resolution, late in a coupled run, that order keeps more of
-    its bits."""
+    its bits.  The decay spans width trajectories: numpy multiplies two
+    arrays of one shape faster than it broadcasts a column."""
     a, size, n = component.a, component.size, component.n
     decay = np.exp(-a * h)
     phi = np.where(a * h < DRIFT_FACTOR_CUTOFF,
@@ -261,7 +262,8 @@ def step_operators(component, h, lam=None):
     # block[i, p, q] maps forcing entry q to state row i*n+p
     forcing = np.concatenate([b.transpose(2, 0, 1).reshape(n, size * n)
                               for b in blocks])
-    return StepOperators(n=n, decay=np.repeat(decay, n)[:, None],
+    return StepOperators(n=n, decay=np.tile(np.repeat(decay, n)[:, None],
+                                            width),
                          forcing=forcing, w=component.w)
 
 
@@ -315,8 +317,13 @@ def _by_trajectory(component, z):
     return z.T.reshape(z.shape[1], component.size, component.n)
 
 
-def _check_finite(kind, step, plans, *states):
-    """Abort naming the step and first trajectory with a non-finite state."""
+def _check_finite(kind, step, plans, *states, observed=()):
+    """Abort naming the step and first trajectory with a non-finite state.
+    A NaN or inf in z makes its x = sum_i w_i z_i non-finite (w is finite),
+    so finite observed x prove the states finite; a non-finite x, which a
+    finite z may also give by overflow, falls back to the scan of z."""
+    if observed and all(np.isfinite(x).all() for x in observed):
+        return
     if all(np.isfinite(z).all() for z in states):
         return
     bad = np.any([~np.isfinite(z).all(axis=0) for z in states], axis=0)
@@ -329,14 +336,14 @@ def _lifted_steps(component, coeffs, z0, plans):
     """Integrate the ensemble of plans (a lone plan twice, see _batch);
     yield (step, z, x), trajectory-last, for step 0 and after every step.
     Each yielded array is new, never updated in place."""
-    ops = step_operators(component, plans[0].h)
+    ops = step_operators(component, plans[0].h, width=len(_batch(plans)))
     z, x = _initial_states(ops, z0, plans)
     plans = _batch(plans)
     yield 0, z, x
     with closing(_stacked_increments(plans)) as noise:
         for step, dw in enumerate(noise, start=1):
             z, x = lifted_step(ops, coeffs, z, x, dw)
-            _check_finite("lifted", step, plans, z)
+            _check_finite("lifted", step, plans, z, observed=(x,))
             yield step, z, x
 
 

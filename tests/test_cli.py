@@ -294,6 +294,9 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
      2, 2),
     # a seed is the first word of a Philox key
     ("simulate", {"rng": {"seed": 2 ** 64}}, "rng.seed", 2, 2),
+    # an integer beyond the range of a float is not a finite number
+    ("simulate", {"discretization": {"k": 10 ** 400}}, "discretization.k",
+     2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from voltlift.cli import _build_inputs, main, resolve_config
-from voltlift.coupling import (_control, contraction_report,
+from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
+                               contraction_report, mean_stderr,
                                simulate_coupled_pair)
 from voltlift.discretize import build_component
-from voltlift.dynamics import (CoefficientModel, NoisePlan, make_plans,
-                               make_preset)
+from voltlift.dynamics import (CoefficientModel, NoisePlan, _batch,
+                               _by_trajectory, _initial_states,
+                               _stacked_increments, make_plans, make_preset,
+                               simulate_lifted_ensemble, step_operators)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
 from voltlift.weights import (build_custom, build_phi_coupling,
@@ -229,3 +232,104 @@ def test_verdict_ratio_is_null_at_zero_initial_distance(tmp_path):
     got = json.loads((tmp_path / "verdict.json").read_text())["d_phipsi"]
     assert got["t0"] == 0.0
     assert got["ratio"] is None
+
+
+def per_step_pair(comp, coeffs, table, lam, y1, y2, plans):
+    """The coupled pair stepped as before row blocks: a broadcast decay
+    column, a scan of both states for non-finite entries and one
+    mean_stderr per step."""
+    h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
+    batch = _batch(plans)
+    ops = step_operators(comp, h, lam)
+    assert ops.decay.shape == (comp.size * comp.n, 1)
+    y, x = _initial_states(ops, y1, plans)
+    yh, xh = _initial_states(ops, y2, plans)
+    mean, stderr = np.empty(m + 1), np.empty(m + 1)
+    v, dist = _gap(comp, table, y, yh)
+    mean[0], stderr[0] = mean_stderr(dist[:n_traj])
+    energy = np.zeros(n_traj)
+    for step, dw in enumerate(_stacked_increments(batch), start=1):
+        u = _control(coeffs, xh, v, lam)[:n_traj]
+        energy += 0.5 * h * np.sum(u ** 2, axis=-1)
+        y, yh, x, xh, v, dist = _coupled_step(comp, coeffs, table, ops, y,
+                                              yh, x, xh, v, dw)
+        assert np.isfinite(y).all() and np.isfinite(yh).all()
+        mean[step], stderr[step] = mean_stderr(dist[:n_traj])
+    return dict(mean_dist=mean, stderr_dist=stderr, energy=energy,
+                y_final=_by_trajectory(comp, y)[:n_traj],
+                yh_final=_by_trajectory(comp, yh)[:n_traj])
+
+
+def pair_setup(kind):
+    """(component, coefficients, table, lam, y1, y2, plan count)."""
+    if kind == "two_dim":
+        mb, ms = np.array([[1.0, 0.2], [0.0, 1.0]]), np.array([[1.0, 0.3],
+                                                               [0.3, 1.0]])
+        comp = build_component(make_expsum_basis([(1.0, mb, ms),
+                                                  (5.0, 0.5 * mb, ms)]),
+                               2, theta_max=10.0)
+        coeffs = make_preset("tanh", n=2, scale=0.5, sigma0=ms)
+        table = build_custom(comp, [np.eye(2), 2.0 * np.eye(2)])
+        return comp, coeffs, table, 0.8, np.ones((2, 2)), np.zeros((2, 2)), 4
+    comp = build_component(make_tempered_fractional_basis(0.5, 0.75, 1.0,
+                                                          1.0), 16, 64.0)
+    coeffs = make_preset("tanh", scale=0.1, sigma0=1.0)
+    consts = compute_coupling_constants(comp, coeffs, m=8.0)
+    table = build_phi_coupling(comp, consts.m, consts.delta, consts.L, 1e300)
+    n_plans = 1 if kind == "lone" else 5
+    return (comp, coeffs, table, consts.lam, np.ones((16, 1)),
+            np.zeros((16, 1)), n_plans)
+
+
+@pytest.mark.parametrize("kind", ["frac", "two_dim", "lone"])
+@pytest.mark.parametrize("m", [0, 1, STAT_ROWS - 1, STAT_ROWS, STAT_ROWS + 1,
+                               3 * STAT_ROWS + 5])
+def test_row_blocks_keep_the_per_step_bits(kind, m):
+    comp, coeffs, table, lam, y1, y2, n_plans = pair_setup(kind)
+    plans = make_plans(3, n_plans, 0.01, m * 0.01, d=coeffs.d)
+    assert plans[0].n_steps == m
+    run = simulate_coupled_pair(comp, coeffs, table, lam, y1, y2, plans)
+    want = per_step_pair(comp, coeffs, table, lam, y1, y2, plans)
+    assert len(run.mean_dist) == m + 1
+    for name, value in want.items():
+        np.testing.assert_array_equal(getattr(run, name), value, name)
+
+
+def overflow_setup():
+    """Two unit-weight atoms with no drift and unit noise: states near the
+    largest float stay finite while their x = z_1 + z_2 overflows."""
+    comp = build_component(make_expsum_basis([(0.01, EYE, EYE),
+                                              (0.02, EYE, EYE)]),
+                           2, theta_max=1.0)
+    coeffs = CoefficientModel(
+        b=np.zeros_like, sigma=lambda x: np.ones(x.shape[:-1] + (1, 1)),
+        n=1, d=1)
+    return comp, coeffs, build_custom(comp, [EYE, EYE])
+
+
+def test_finite_states_whose_observable_overflows_run_on():
+    comp, coeffs, table = overflow_setup()
+    assert np.all(comp.w == 1.0)
+    big = np.full((2, 1), 1e308)
+    plans = make_plans(0, 3, 0.01, 0.1, d=1)
+    with np.errstate(over="ignore"):
+        _, X, z = simulate_lifted_ensemble(comp, coeffs, big, plans)
+        run = simulate_coupled_pair(comp, coeffs, table, 1.0, big, big,
+                                    plans)
+    assert np.all(np.isinf(X)) and np.isfinite(z).all()
+    assert np.isfinite(run.y_final).all() and np.isfinite(run.yh_final).all()
+
+
+@pytest.mark.parametrize("kind", ["lifted", "coupled"])
+def test_nan_in_an_interior_factor_aborts_naming_it(kind):
+    comp, coeffs, table, lam, _, _, _ = pair_setup("frac")
+    plans = make_plans(2, 5, 0.01, 0.5, d=1, first_index=10)
+    z0 = np.ones((5, 16, 1))
+    z0[3, 7, 0] = np.nan
+    match = f"non-finite {kind} state at step 1, trajectory 13"
+    with pytest.raises(FloatingPointError, match=match):
+        if kind == "lifted":
+            simulate_lifted_ensemble(comp, coeffs, z0, plans)
+        else:
+            simulate_coupled_pair(comp, coeffs, table, lam, np.zeros(z0.shape),
+                                  z0, plans)
