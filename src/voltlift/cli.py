@@ -12,11 +12,18 @@ import argparse
 import copy
 import inspect
 import json
+import math
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import coupling as cpl
 from . import ergodics as erg
@@ -139,7 +146,36 @@ def resolve_config(raw):
             cfg[key] = dict(raw[key])
         else:
             cfg[key] = _resolve(key, raw[key], SCHEMA[key])
+    _check_steps(cfg)
     return cfg
+
+
+def _check_steps(cfg):
+    """The ergodic run's record times in (0, scheme.T] fall on distinct
+    nonzero steps, and a run that reads scheme takes at least one step."""
+    if "scheme" not in cfg:
+        return
+    h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
+    if not math.isfinite(T / h):
+        raise ConfigError(f"scheme.h = {h!r} is too small for scheme.T = "
+                          f"{T!r}: T / h overflows")
+    if cfg["experiment"] == "ergodic":
+        seen = {}
+        for t in cfg["t_grid"]:
+            if t > T:  # the runner leaves it out
+                continue
+            step = round(t / h)
+            if step == 0:
+                raise ConfigError(f"t_grid entry {t!r} rounds to step 0 "
+                                  f"of scheme.h = {h!r}")
+            if step in seen:
+                raise ConfigError(f"t_grid entries {seen[step]!r} and {t!r} "
+                                  f"round to the same step {step} of "
+                                  f"scheme.h = {h!r}")
+            seen[step] = t
+    if round(T / h) == 0:
+        raise ConfigError(f"scheme.h = {h!r} leaves scheme.T = {T!r} no "
+                          "step: round(T / h) = 0")
 
 
 def _call_checked(key, fn, spec):
@@ -204,6 +240,31 @@ def _build_inputs(cfg):
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _json_null(value):
+    """value with each non-finite float as None: JSON has no NaN or inf."""
+    if isinstance(value, dict):
+        return {k: _json_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_null(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _run_meta():
+    """The wall-clock time, the peak RSS of this process and of its reaped
+    children (a coupled pair's forked part among them), and versions."""
+    meta = {"wall_time": time.time(),
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__}}
+    if resource is not None:  # ru_maxrss is in kB on Linux, bytes on macOS
+        unit = 1024 if sys.platform == "darwin" else 1
+        for key, who in (("ru_maxrss_kb", resource.RUSAGE_SELF),
+                         ("children_ru_maxrss_kb", resource.RUSAGE_CHILDREN)):
+            meta[key] = resource.getrusage(who).ru_maxrss // unit
+    return meta
 
 
 def _write_rows(path, header, rows):
@@ -389,10 +450,10 @@ def run_experiment(cfg, out_dir):
                 "experiment,k,t_or_lag,estimate,stderr,floor",
                 [(exp,) + row for row in rows])
     verdict = {"experiment": exp, "seed": cfg["rng"]["seed"], **fields}
-    (out_dir / "verdict.json").write_text(
-        json.dumps(verdict, indent=2, sort_keys=True, default=float) + "\n")
-    (out_dir / "run_meta.json").write_text(
-        json.dumps({"wall_time": time.time()}) + "\n")
+    (out_dir / "verdict.json").write_text(json.dumps(
+        _json_null(verdict), indent=2, sort_keys=True, default=float,
+        allow_nan=False) + "\n")
+    (out_dir / "run_meta.json").write_text(json.dumps(_run_meta()) + "\n")
     return verdict
 
 

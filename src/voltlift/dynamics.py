@@ -175,6 +175,19 @@ class WorkPair:
                 raise self.error
 
 
+def _check_plans(plans):
+    """Reject a plan whose (h, T, d) differs from the first's: a batch is
+    stepped together."""
+    first = plans[0]
+    shape = (first.h, first.T, first.d)
+    for p in plans:
+        if (p.h, p.T, p.d) != shape:
+            raise ValueError(
+                f"trajectory {p.trajectory_index}: (h, T, d) = "
+                f"{(p.h, p.T, p.d)} differs from {shape}, trajectory "
+                f"{first.trajectory_index}'s; a batch is stepped together")
+
+
 def _stacked_increments(plans):
     """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
     the values of NoisePlan.increments.  Each lane block's stream is drawn
@@ -184,14 +197,8 @@ def _stacked_increments(plans):
     buffers then hold at most NOISE_BUFFER normals, flat in T.  Every
     integrator steps its batch on these, so a plan that disagrees is
     rejected here."""
+    _check_plans(plans)
     first = plans[0]
-    shape = (first.h, first.T, first.d)
-    for p in plans:
-        if (p.h, p.T, p.d) != shape:
-            raise ValueError(
-                f"trajectory {p.trajectory_index}: (h, T, d) = "
-                f"{(p.h, p.T, p.d)} differs from {shape}, trajectory "
-                f"{first.trajectory_index}'s; a batch is stepped together")
     m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
     blocks = _lane_blocks(plans)
     steps = max(1, min(NOISE_BLOCK_STEPS,

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from voltlift.cli import main
+from voltlift.cli import EXPERIMENTS, main
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NoisePlan, make_preset, simulate_lifted,
                                truncate_coefficients)
@@ -297,6 +298,17 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     # an integer beyond the range of a float is not a finite number
     ("simulate", {"discretization": {"k": 10 ** 400}}, "discretization.k",
      2, 2),
+    # record times on step 0, or two on one step, would repeat a row
+    ("ergodic", {"scheme": {"h": 0.01, "T": 0.001}, "t_grid": [0.001]},
+     "t_grid entry 0.001 rounds to step 0", 2, 2),
+    ("ergodic", {"t_grid": [0.5, 0.5, 1.0]}, "t_grid entries 0.5 and 0.5",
+     2, 2),
+    ("ergodic", {"t_grid": [0.5, 0.504, 1.0]},
+     "t_grid entries 0.5 and 0.504 round to the same step 50", 2, 2),
+    # a horizon of no step
+    ("coupling", {"scheme": {"h": 1.0, "T": 0.5}, "coefficients": TANH},
+     "scheme.h", 2, 2),
+    ("simulate", {"scheme": {"h": 1e-310, "T": 1.0}}, "scheme.h", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
@@ -311,6 +323,75 @@ def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
         assert "Traceback" not in err
         if rc == 2:
             assert key in err, (command, err)
+
+
+@pytest.mark.parametrize("experiment", [
+    exp for exp, (keys, _) in EXPERIMENTS.items() if "scheme" in keys])
+def test_zero_step_horizon_exits_2_naming_scheme_h(tmp_path, capsys,
+                                                   experiment):
+    doc = simulate_config(tmp_path / "o")
+    # ergodic's record time 1.0 lies beyond T, so no entry rounds to 0
+    doc.update(experiment=experiment, basis_b=ATOM_BASIS, t_grid=[1.0],
+               scheme={"h": 0.5, "T": 0.25})
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert "scheme.h = 0.5 leaves scheme.T = 0.25 no step" in \
+            capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verdict_writes_a_non_finite_float_as_null(tmp_path):
+    # two rungs leave one pair to rank, whose Spearman correlation is NaN
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="ipm_convergence", ladder=[1, 2],
+               scheme={"h": 0.05, "T": 0.5})
+    doc["rng"]["trajectories"] = 16
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert verdict["spearman"] is None
+
+
+_FORKED_RUN = """
+import json, resource, sys
+import voltlift.cli as cli
+cfg, out = sys.argv[1:]
+assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss == 0
+assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+print(open(out + "/run_meta.json").read())
+"""
+
+
+def test_run_meta_records_memory_and_versions(tmp_path):
+    # a fresh interpreter with no child before the run: the children's peak
+    # RSS is then the coupled pair's forked part, 4096 one-atom trajectories
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="coupling", coefficients=TANH,
+               scheme={"h": 0.01, "T": 0.2})
+    doc["rng"]["trajectories"] = 4096
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FORKED_RUN, cfg,
+                           str(tmp_path / "o")], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads(proc.stdout)
+    assert sorted(meta) == ["children_ru_maxrss_kb", "ru_maxrss_kb",
+                            "versions", "wall_time"]
+    assert meta["versions"] == {"python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert meta["ru_maxrss_kb"] > 0
+    if len(os.sched_getaffinity(0)) > 1:  # the pair forks
+        assert 0 < meta["children_ru_maxrss_kb"]
+    else:
+        assert meta["children_ru_maxrss_kb"] == 0
 
 
 def test_coupling_R_reaches_certification(tmp_path, capsys):

@@ -1,12 +1,16 @@
 import json
+import os
+import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from voltlift.cli import _build_inputs, main, resolve_config
-from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
+from voltlift.coupling import (FORK_MIN_ENTRIES, STAT_ROWS, _control,
+                               _coupled_step, _fork_row, _gap,
                                contraction_report, mean_stderr,
                                simulate_coupled_pair)
 from voltlift.discretize import build_component
@@ -333,3 +337,127 @@ def test_nan_in_an_interior_factor_aborts_naming_it(kind):
         else:
             simulate_coupled_pair(comp, coeffs, table, lam, np.zeros(z0.shape),
                                   z0, plans)
+
+
+def run_on_cpus(monkeypatch, cpus, *args):
+    """simulate_coupled_pair(*args) on a host of the given CPU count, and
+    the number of processes it forked."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    try:
+        return simulate_coupled_pair(*args), len(forks)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind,n_traj,first,m", [
+    ("frac", 512, 0, 3 * STAT_ROWS + 5),
+    ("frac", 1100, 0, 9 * STAT_ROWS + 6),  # a partial last lane block
+    ("frac", 2048, 0, 2 * STAT_ROWS),
+    ("frac", 1024, 100, 0),  # a batch that starts inside a lane block
+    ("two_dim", 1024, 0, 3 * STAT_ROWS + 5),
+])
+def test_two_processes_keep_the_one_process_bits(monkeypatch, kind, n_traj,
+                                                 first, m):
+    comp, coeffs, table, lam, y1, y2, _ = pair_setup(kind)
+    plans = make_plans(3, n_traj, 0.01, m * 0.01, d=coeffs.d,
+                       first_index=first)
+    assert n_traj * len(y1.reshape(-1)) >= FORK_MIN_ENTRIES
+    args = (comp, coeffs, table, lam, y1, y2, plans)
+    one, forks = run_on_cpus(monkeypatch, 1, *args)
+    assert forks == 0
+    two, forks = run_on_cpus(monkeypatch, 2, *args)
+    assert forks == 1
+    assert len(two.mean_dist) == m + 1
+    for name in ("mean_dist", "stderr_dist", "energy", "y_final",
+                 "yh_final"):
+        np.testing.assert_array_equal(getattr(two, name), getattr(one, name),
+                                      name)
+
+
+def test_fork_row_splits_at_the_lane_block_nearest_the_middle(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 16) == 1024
+    assert _fork_row(make_plans(0, 1100, 0.1, 1.0), 16) == 512
+    # indices 100, ...: blocks start at rows 156, 412, 668 and 924
+    assert _fork_row(make_plans(0, 1024, 0.1, 1.0, first_index=100), 16) \
+        == 412
+    assert _fork_row(make_plans(0, 256, 0.1, 1.0), 16) is None  # one block
+    assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 1) is None  # too small
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 16) is None
+
+
+def drift_failing(at, error=None):
+    """tanh(0.1)-like drift that makes trajectory j's uncontrolled copy NaN
+    at step at[j], or raises error at the first such step.  A process tells
+    its trajectories apart by their initial x, (j + 1) * sum(w)."""
+    state = {"calls": 0}
+
+    def b(x):
+        x = np.asarray(x, dtype=float)
+        state["calls"] += 1
+        if state["calls"] == 1:
+            state["ids"] = np.rint(x[:, 0] / state["w"]).astype(int) - 1
+        out = -x + 0.1 * np.tanh(x)
+        step, uncontrolled = (state["calls"] + 1) // 2, state["calls"] % 2
+        for row, j in enumerate(state["ids"]):
+            if uncontrolled and at.get(j) == step:
+                if error is not None:
+                    raise error
+                out[row] = np.nan
+        return out
+
+    return b, state
+
+
+def failing_pair(at, error=None):
+    comp, coeffs, table, lam, _, _, _ = pair_setup("frac")
+    b, state = drift_failing(at, error)
+    state["w"] = comp.w.sum()
+    z0 = np.arange(1.0, 1025.0)[:, None, None] * np.ones((1024, 16, 1))
+    plans = make_plans(2, 1024, 0.01, 0.6, d=1)
+    return (comp, replace(coeffs, b=b), table, lam, z0, np.zeros_like(z0),
+            plans)
+
+
+@pytest.mark.parametrize("at,step,j", [
+    ({700: 20}, 20, 700),  # in the child's part
+    ({100: 20}, 20, 100),  # in the caller's part
+    ({100: 20, 700: 20}, 20, 100),  # both at one step: the lower trajectory
+    ({100: 40, 700: 3}, 3, 700),  # the child's earlier
+    ({100: 20, 700: 18}, 18, 700),  # the child's earlier, in a later block
+    ({100: 3, 700: 40}, 3, 100),  # the caller's earlier
+])
+def test_a_non_finite_state_aborts_as_in_one_process(monkeypatch, at, step,
+                                                     j):
+    threads = threading.active_count()
+    errors = []
+    for cpus in (1, 2):
+        with pytest.raises(FloatingPointError) as err:
+            run_on_cpus(monkeypatch, cpus, *failing_pair(at))
+        errors.append(str(err.value))
+        assert threading.active_count() == threads
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1] == \
+        f"non-finite coupled state at step {step}, trajectory {j}"
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_an_error_in_either_part_leaves_no_process(monkeypatch, where):
+    threads = threading.active_count()
+    j = {"caller": 100, "child": 700}[where]
+    with pytest.raises(KeyError, match=f"trajectory {j}"):
+        run_on_cpus(monkeypatch, 2, *failing_pair(
+            {j: 10}, KeyError(f"trajectory {j}")))
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
