@@ -146,13 +146,15 @@ def resolve_config(raw):
             cfg[key] = dict(raw[key])
         else:
             cfg[key] = _resolve(key, raw[key], SCHEMA[key])
-    _check_steps(cfg)
+    _check_steps(cfg, default_t_grid="t_grid" not in raw)
     return cfg
 
 
-def _check_steps(cfg):
+def _check_steps(cfg, default_t_grid):
     """The ergodic run's record times in (0, scheme.T] fall on distinct
-    nonzero steps, and a run that reads scheme takes at least one step."""
+    nonzero steps, and a run that reads scheme takes at least one step.
+    Of a default t_grid, only the first entry on each nonzero step is kept:
+    its first entries share a step at the default scheme.h."""
     if "scheme" not in cfg:
         return
     h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
@@ -162,9 +164,11 @@ def _check_steps(cfg):
     if cfg["experiment"] == "ergodic":
         seen = {}
         for t in cfg["t_grid"]:
-            if t > T:  # the runner leaves it out
+            if not 0 < t <= T:  # the runner leaves it out
                 continue
             step = round(t / h)
+            if default_t_grid and (step == 0 or step in seen):
+                continue
             if step == 0:
                 raise ConfigError(f"t_grid entry {t!r} rounds to step 0 "
                                   f"of scheme.h = {h!r}")
@@ -173,6 +177,8 @@ def _check_steps(cfg):
                                   f"round to the same step {step} of "
                                   f"scheme.h = {h!r}")
             seen[step] = t
+        if default_t_grid:
+            cfg["t_grid"] = list(seen.values())
     if round(T / h) == 0:
         raise ConfigError(f"scheme.h = {h!r} leaves scheme.T = {T!r} no "
                           "step: round(T / h) = 0")

@@ -25,11 +25,11 @@ from .weights import mu_sigma_phi, weighted_norms
 
 # steps whose distances are held before their mean and standard error
 STAT_ROWS = 16
-# state entries of one copy (trajectories x I x n) a batch needs before a
-# child process steps part of it: with fewer, the per-step calls that both
-# processes make outweigh the halved arithmetic (README, "The coupled
-# pair's second process")
-FORK_MIN_ENTRIES = 4096
+# state entries of one copy (trajectories x I x n) that each part of a
+# batch needs before a child process steps one part: with fewer, the
+# per-step calls that both processes make outweigh the arithmetic a part
+# takes off the other (README, "The coupled pair's second process")
+FORK_MIN_PART_ENTRIES = 2048
 # blocks of STAT_ROWS steps the child process may run ahead of the caller
 RING_BLOCKS = 8
 
@@ -108,17 +108,35 @@ def _pair_steps(component, coeffs, table, lam, plans, y, yh):
 
 def _fork_row(plans, size):
     """The row of the batch from which a child process steps it: the
-    lane-block boundary nearest the middle.  None, and the calling process
-    steps every row, for fewer than FORK_MIN_ENTRIES state entries (size a
-    trajectory), one usable CPU or a platform without sched_getaffinity
-    (Windows, which has no fork, and macOS)."""
-    if (len(plans) * size < FORK_MIN_ENTRIES
+    lane-block boundary nearest the middle that leaves each part at least
+    FORK_MIN_PART_ENTRIES state entries (size a trajectory) and two
+    trajectories (a lone one would be stepped twice, see _batch, in a part
+    whose states hold it once).  None, and the calling process steps every
+    row, when there is no such boundary, on one usable CPU or on a platform
+    without sched_getaffinity (Windows, which has no fork, and macOS)."""
+    if (len(plans) * size < 2 * FORK_MIN_PART_ENTRIES
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2):
         return None
+    least = max(2, -(-FORK_MIN_PART_ENTRIES // size))  # rows of a part
     blocks = [(p.seed, p.trajectory_index // NOISE_LANES) for p in plans]
-    starts = [r for r in range(1, len(plans)) if blocks[r] != blocks[r - 1]]
+    starts = [r for r in range(least, len(plans) - least + 1)
+              if blocks[r] != blocks[r - 1]]
     return min(starts, key=lambda r: abs(2 * r - len(plans)), default=None)
+
+
+def _pickled_error(step, exc):
+    """(step, exc) pickled, if it loads again: an error whose constructor
+    takes other arguments than its args, or that holds an object pickle
+    cannot write, goes as a RuntimeError naming its type and text."""
+    try:
+        data = pickle.dumps((step, exc))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((step, RuntimeError(
+            f"{type(exc).__qualname__} in the coupled pair's child process: "
+            f"{exc}")))
 
 
 class _ForkedPart:
@@ -186,7 +204,7 @@ class _ForkedPart:
                         dst[...] = src
                     out.write(b"bd")
                 except BaseException as exc:
-                    out.write(b"e" + pickle.dumps((step + 1, exc)))
+                    out.write(b"e" + _pickled_error(step + 1, exc))
         finally:
             os._exit(0)
 
@@ -197,7 +215,12 @@ class _ForkedPart:
         if kind == b"b":
             self.blocks += 1
         elif kind == b"e":
-            self.error = pickle.loads(self.ready.read())
+            try:
+                self.error = pickle.loads(self.ready.read())
+            except Exception as exc:  # a message cut short
+                self.error = (math.inf, RuntimeError(
+                    f"the coupled pair's child process {self.pid} sent an "
+                    f"unreadable error: {exc!r}"))
         elif kind != b"d":
             self.error = (math.inf, RuntimeError(
                 f"the coupled pair's child process {self.pid} ended "
@@ -239,6 +262,9 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
     process")."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
+    # checked here as well as in each part's _stacked_increments, so that a
+    # plan that disagrees is named against the batch's first, as in one
+    # process, and not against the first of the child's part
     _check_plans(plans)
     h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
     ops = step_operators(component, h)

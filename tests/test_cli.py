@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from voltlift.cli import EXPERIMENTS, main
+from voltlift.cli import EXPERIMENTS, SCHEMA, main
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NoisePlan, make_preset, simulate_lifted,
                                truncate_coefficients)
@@ -309,6 +309,9 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     ("coupling", {"scheme": {"h": 1.0, "T": 0.5}, "coefficients": TANH},
      "scheme.h", 2, 2),
     ("simulate", {"scheme": {"h": 1e-310, "T": 1.0}}, "scheme.h", 2, 2),
+    # a record time at 0 is no positive number, before any step check
+    ("ergodic", {"t_grid": [0.0, 1.0]},
+     "t_grid entry must be a finite positive number", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
@@ -338,6 +341,24 @@ def test_zero_step_horizon_exits_2_naming_scheme_h(tmp_path, capsys,
         assert main([command, "--config", cfg]) == 2, command
         assert "scheme.h = 0.5 leaves scheme.T = 0.25 no step" in \
             capsys.readouterr().err
+
+
+def test_ergodic_default_t_grid_keeps_one_entry_a_step(tmp_path):
+    # the default's first entries, 0.01 and 0.0133, share step 1 of h = 0.01
+    doc = simulate_config(tmp_path / "o")
+    doc.update(experiment="ergodic", scheme={"h": 0.01, "T": 0.5})
+    doc["rng"]["trajectories"] = 16
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg]) == 0
+    times = json.loads((tmp_path / "o" / "resolved_config.json")
+                       .read_text())["t_grid"]
+    # the first default entry on each step up to T: 14 entries, 12 steps
+    assert [round(t / 0.01) for t in times] == [1, 2, 3, 4, 6, 7, 10, 13, 18,
+                                                24, 32, 42]
+    assert set(times) <= set(SCHEMA["t_grid"])
+    rows = (tmp_path / "o" / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(times)
 
 
 def _reject_constant(name):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from voltlift.cli import _build_inputs, main, resolve_config
-from voltlift.coupling import (FORK_MIN_ENTRIES, STAT_ROWS, _control,
+from voltlift.coupling import (FORK_MIN_PART_ENTRIES, STAT_ROWS, _control,
                                _coupled_step, _fork_row, _gap,
                                contraction_report, mean_stderr,
                                simulate_coupled_pair)
@@ -357,24 +357,28 @@ def run_on_cpus(monkeypatch, cpus, *args):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("kind,n_traj,first,m", [
-    ("frac", 512, 0, 3 * STAT_ROWS + 5),
-    ("frac", 1100, 0, 9 * STAT_ROWS + 6),  # a partial last lane block
-    ("frac", 2048, 0, 2 * STAT_ROWS),
-    ("frac", 1024, 100, 0),  # a batch that starts inside a lane block
-    ("two_dim", 1024, 0, 3 * STAT_ROWS + 5),
+@pytest.mark.parametrize("kind,n_traj,first,m,forks", [
+    ("frac", 512, 0, 3 * STAT_ROWS + 5, 1),
+    ("frac", 1100, 0, 9 * STAT_ROWS + 6, 1),  # a partial last lane block
+    ("frac", 2048, 0, 2 * STAT_ROWS, 1),
+    ("frac", 1024, 100, 0, 1),  # a batch that starts inside a lane block
+    ("two_dim", 1024, 0, 3 * STAT_ROWS + 5, 1),
+    # the only boundaries would leave one trajectory in a part
+    ("frac", 257, 0, STAT_ROWS + 3, 0),
+    ("frac", 258, 255, STAT_ROWS + 3, 0),
+    ("frac", 600, 255, STAT_ROWS + 3, 1),  # split at row 257, not 1
 ])
 def test_two_processes_keep_the_one_process_bits(monkeypatch, kind, n_traj,
-                                                 first, m):
+                                                 first, m, forks):
     comp, coeffs, table, lam, y1, y2, _ = pair_setup(kind)
     plans = make_plans(3, n_traj, 0.01, m * 0.01, d=coeffs.d,
                        first_index=first)
-    assert n_traj * len(y1.reshape(-1)) >= FORK_MIN_ENTRIES
+    assert n_traj * len(y1.reshape(-1)) >= 2 * FORK_MIN_PART_ENTRIES
     args = (comp, coeffs, table, lam, y1, y2, plans)
-    one, forks = run_on_cpus(monkeypatch, 1, *args)
-    assert forks == 0
-    two, forks = run_on_cpus(monkeypatch, 2, *args)
-    assert forks == 1
+    one, no_forks = run_on_cpus(monkeypatch, 1, *args)
+    assert no_forks == 0
+    two, two_forks = run_on_cpus(monkeypatch, 2, *args)
+    assert two_forks == forks
     assert len(two.mean_dist) == m + 1
     for name in ("mean_dist", "stderr_dist", "energy", "y_final",
                  "yh_final"):
@@ -390,6 +394,20 @@ def test_fork_row_splits_at_the_lane_block_nearest_the_middle(monkeypatch):
     assert _fork_row(make_plans(0, 1024, 0.1, 1.0, first_index=100), 16) \
         == 412
     assert _fork_row(make_plans(0, 256, 0.1, 1.0), 16) is None  # one block
+    # a part of fewer than 2048 entries: 1 or 4 trajectories of 16 factors
+    assert _fork_row(make_plans(0, 257, 0.1, 1.0), 16) is None
+    assert _fork_row(make_plans(0, 258, 0.1, 1.0, first_index=255), 16) \
+        is None
+    assert _fork_row(make_plans(0, 260, 0.1, 1.0), 16) is None
+    # the boundary at row 1 is out of reach, 257 is not
+    assert _fork_row(make_plans(0, 600, 0.1, 1.0, first_index=255), 16) \
+        == 257
+    assert _fork_row(make_plans(0, 384, 0.1, 1.0), 16) == 256  # 128 rows
+    assert _fork_row(make_plans(0, 4097, 0.1, 1.0), 1) == 2048
+    assert _fork_row(make_plans(0, 4095, 0.1, 1.0), 1) is None
+    # a lone trajectory of 4096 entries is no part
+    assert _fork_row(make_plans(0, 3, 0.1, 1.0, first_index=255), 4096) \
+        is None
     assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 1) is None  # too small
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 16) is None
@@ -458,6 +476,39 @@ def test_an_error_in_either_part_leaves_no_process(monkeypatch, where):
     with pytest.raises(KeyError, match=f"trajectory {j}"):
         run_on_cpus(monkeypatch, 2, *failing_pair(
             {j: 10}, KeyError(f"trajectory {j}")))
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgumentError(Exception):
+    """Pickled by its args, one string, which its constructor cannot take
+    back."""
+
+    def __init__(self, j, why):
+        super().__init__(f"trajectory {j}: {why}")
+
+
+class UnpicklableError(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@pytest.mark.parametrize("error", [
+    TwoArgumentError(700, "drift failed"),
+    UnpicklableError("trajectory 700: drift failed"),
+])
+def test_a_child_error_that_does_not_pickle_keeps_its_step(monkeypatch,
+                                                          error):
+    # the caller's part raises the same error at a later step: the child's,
+    # at the lower step, is raised as a RuntimeError naming its type and text
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        run_on_cpus(monkeypatch, 2, *failing_pair({700: 10, 100: 30}, error))
+    assert str(err.value) == (
+        f"{type(error).__qualname__} in the coupled pair's child process: "
+        "trajectory 700: drift failed")
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
