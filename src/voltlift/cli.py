@@ -152,7 +152,8 @@ def resolve_config(raw):
 
 def _check_steps(cfg, default_t_grid):
     """The ergodic run's record times in (0, scheme.T] fall on distinct
-    nonzero steps, and a run that reads scheme takes at least one step.
+    nonzero steps, the stationarity run's lags on distinct steps after
+    burn_in's, and a run that reads scheme takes at least one step.
     Of a default t_grid, only the first entry on each nonzero step is kept:
     its first entries share a step at the default scheme.h."""
     if "scheme" not in cfg:
@@ -179,6 +180,11 @@ def _check_steps(cfg, default_t_grid):
             seen[step] = t
         if default_t_grid:
             cfg["t_grid"] = list(seen.values())
+    if cfg["experiment"] == "stationarity":
+        try:
+            erg._check_lags(cfg["burn_in"], cfg["lags"], h)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if round(T / h) == 0:
         raise ConfigError(f"scheme.h = {h!r} leaves scheme.T = {T!r} no "
                           "step: round(T / h) = 0")

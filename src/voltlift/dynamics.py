@@ -21,7 +21,7 @@ from numpy.random import Generator, Philox
 from .quad import nodes
 
 DRIFT_FACTOR_CUTOFF = 1e-8
-NOISE_BLOCK_STEPS = 256
+NOISE_BLOCK_STEPS = 64
 NOISE_LANES = 256
 # normals of noise a batch holds at once, at most
 NOISE_BUFFER = 2 ** 19

@@ -207,14 +207,35 @@ class StationarityResult:
         return bool(np.all(self.passed))
 
 
+def _check_lags(burn_in, lags, h):
+    """Each burn_in + lag rounds to a step of h of its own, after burn_in's:
+    a lag of no step would compare the marginal with itself, and two lags
+    on one step would repeat a row."""
+    burn_step = round(burn_in / h)
+    seen = {}
+    for lag in lags:
+        step = round((burn_in + lag) / h)
+        if step <= burn_step:
+            raise ValueError(f"lags entry {lag!r} puts burn_in + lag on "
+                             f"step {step} of h = {h!r}, not after "
+                             f"burn_in's step {burn_step}")
+        if step in seen:
+            raise ValueError(f"lags entries {seen[step]!r} and {lag!r} put "
+                             f"burn_in + lag on the same step {step} of "
+                             f"h = {h!r}")
+        seen[step] = lag
+
+
 def stationarity_test(component, coeffs, burn_in, lags, n_traj, z0, seed=0,
                       h=1e-2, n_boot=100):
     """Compare the X-marginal at burn_in against burn_in + lag for each lag.
-    The lags reported are the simulated ones: each time rounded to a step."""
+    The lags reported are the simulated ones: each time rounded to a step,
+    which _check_lags requires distinct."""
     if len(lags) == 0:
         raise ValueError("lags must be nonempty")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
+    _check_lags(burn_in, lags, h)
     lags = np.asarray(sorted(lags), dtype=float)
     record = [burn_in] + [burn_in + l for l in lags]
     T = record[-1]

@@ -312,6 +312,12 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     # a record time at 0 is no positive number, before any step check
     ("ergodic", {"t_grid": [0.0, 1.0]},
      "t_grid entry must be a finite positive number", 2, 2),
+    # a lag on burn_in's step (5.2 / 0.5 rounds to 10), or two lags on one
+    # step, would write a row of W1 = 0 or repeat a row
+    ("stationarity", {"scheme": {"h": 0.5, "T": 10.0}, "lags": [0.2, 1.0]},
+     "lags entry 0.2 puts burn_in + lag on step 10", 2, 2),
+    ("stationarity", {"scheme": {"h": 0.5, "T": 10.0}, "lags": [1.1, 1.2]},
+     "lags entries 1.1 and 1.2", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):

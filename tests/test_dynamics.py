@@ -198,12 +198,9 @@ def test_stacked_noise_takes_each_plans_lane_in_any_order():
         rows, np.stack([p.increments() for p in plans], axis=1))
 
 
-def test_noise_memory_bounded_in_batch():
-    # a 4096-trajectory, d = 2 batch (the size of the ergodic_2d
-    # ensembles) holds at most NOISE_BUFFER = 2**19 normals of noise,
-    # besides its sixteen lane blocks' generators; 1% covers the array
-    # views and frames around them
-    plans = make_plans(0, 4096, 0.01, 4.0, d=2)
+def _noise_peak(plans):
+    """Peak bytes the noise source holds while a consumer walks its rows,
+    besides the lane blocks' generators."""
     tracemalloc.start()
     try:
         blocks = _lane_blocks(plans)
@@ -214,10 +211,22 @@ def test_noise_memory_bounded_in_batch():
         # every integrator
         for dw in _stacked_increments(plans):
             pass
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - generators
     finally:
         tracemalloc.stop()
-    assert peak - generators <= 1.01 * 2 ** 19 * 8
+
+
+def test_noise_memory_bounded_in_batch():
+    # a 4096-trajectory, d = 2 batch (the size of the ergodic_2d
+    # ensembles) holds at most NOISE_BUFFER = 2**19 normals of noise; 1%
+    # covers the array views and frames around them
+    assert _noise_peak(make_plans(0, 4096, 0.01, 4.0, d=2)) \
+        <= 1.01 * 2 ** 19 * 8
+    # a 1024-trajectory, d = 1 batch (one process's part of coupling_frac)
+    # draws blocks of at most 64 steps: two blocks of its rows and two
+    # lane buffers
+    assert _noise_peak(make_plans(0, 1024, 0.01, 4.0)) \
+        <= 1.01 * 2 * 64 * (1024 + 256) * 8
 
 
 def test_held_rows_keep_their_values_across_blocks():
@@ -285,8 +294,8 @@ def _inf_at_call(k, row):
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_abort_mid_run_leaves_no_thread(coupled):
-    # the drift turns non-finite at call 300, in the second of four noise
-    # blocks of 256 steps; the coupled pair calls it twice a step
+    # the drift turns non-finite at call 300, with noise blocks still to
+    # draw after it; the coupled pair calls it twice a step
     comp = build_component(make_expsum_basis([(1.0, EYE, EYE)]), 1, 2.0)
     coeffs = _inf_at_call(300, 2)
     plans = make_plans(0, 4, 0.01, 10.0, first_index=10)

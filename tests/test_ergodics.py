@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from voltlift import ergodics
 from voltlift.discretize import build_component
 from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
                                make_preset, simulate_lifted)
@@ -235,17 +237,21 @@ def test_stationarity_detects_transient():
 
 
 def test_stationarity_reports_the_simulated_lags():
-    # 0.013 and 0.014 both round to step 1 at h = 0.01: the rows report
-    # the lag of 0.01 that was simulated
+    # 0.013 and 0.026 round to steps 1 and 3 at h = 0.01: the rows report
+    # the lags of 0.01 and 0.03 that were simulated
     comp, coeffs = ou_setup()
-    res = stationarity_test(comp, coeffs, burn_in=0.0, lags=[0.013, 0.014],
+    res = stationarity_test(comp, coeffs, burn_in=0.0, lags=[0.026, 0.013],
                             n_traj=64, z0=np.zeros((1, 1)), seed=0, h=0.01,
                             n_boot=5)
-    np.testing.assert_array_equal(res.lags, [0.01, 0.01])
-    assert res.w1[0] == res.w1[1]
+    np.testing.assert_array_equal(res.lags, [0.01, 0.03])
 
 
-def test_stationarity_validates_arguments():
+def test_stationarity_validates_arguments(monkeypatch):
+    # each is rejected before any trajectory is simulated
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(ergodics, "run_ensemble", no_run)
     comp, coeffs = ou_setup()
     with pytest.raises(ValueError):
         stationarity_test(comp, coeffs, burn_in=-1.0, lags=[1.0], n_traj=4,
@@ -253,6 +259,16 @@ def test_stationarity_validates_arguments():
     with pytest.raises(ValueError):
         stationarity_test(comp, coeffs, burn_in=1.0, lags=[], n_traj=4,
                           z0=np.zeros((1, 1)))
+    # at h = 0.5, 5.2 rounds to burn_in's step 10, 4.0 is step 8, and 6.1
+    # and 6.2 both round to step 12
+    for lags, message in (
+            ([0.2, 1.0], "lags entry 0.2 puts burn_in + lag on step 10"),
+            ([-1.0], "lags entry -1.0 puts burn_in + lag on step 8"),
+            ([1.1, 1.2], "lags entries 1.1 and 1.2 put burn_in + lag on the "
+                         "same step 12")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stationarity_test(comp, coeffs, burn_in=5.0, lags=lags, n_traj=4,
+                              z0=np.zeros((1, 1)), h=0.5)
 
 
 def test_lift_independence_rejects_mismatched_kernels():
