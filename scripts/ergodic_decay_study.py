@@ -1,4 +1,5 @@
-"""Wasserstein decay study: two ensembles started apart, distance over time.
+"""Wasserstein decay study: two ensembles started apart on common noise,
+distance over time.
 
 For the one-atom linear model with zero feedback drift the observable is an
 Ornstein-Uhlenbeck process with unit rate, so the fitted decay rate should
@@ -42,7 +43,7 @@ def main():
     for t, w in zip(fit.times, fit.w1):
         print(f"t = {t:5.2f}   W1 = {w:.5f}")
     print(f"fitted rate r_hat = {fit.r_hat:.4f} "
-          f"(bootstrap stderr {fit.r_stderr:.4f})")
+          f"(lane-block stderr {fit.r_stderr:.2g})")
 
 
 if __name__ == "__main__":

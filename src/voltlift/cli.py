@@ -354,12 +354,16 @@ def _coupling(cfg, basis, coeffs, out_dir):
                           + " need coupling.m: certification chooses m, "
                           "delta and L together")
     component = _component(cfg, basis)
-    if "m" in given:
-        consts = compute_coupling_constants(component, coeffs, **given)
-    else:
-        consts = find_certified_constants(component, coeffs, **given)
-        if consts is None:
-            raise ConfigError("no certified coupling constants found")
+    try:  # the square of a Lipschitz constant near the float range raises
+        consts = (compute_coupling_constants(component, coeffs, **given)
+                  if "m" in given else
+                  find_certified_constants(component, coeffs, **given))
+    except OverflowError:
+        raise ConfigError(
+            f"coefficients: the coupling constants overflow at C_bLip = "
+            f"{coeffs.C_bLip!r}, C_sLip = {coeffs.C_sLip!r}") from None
+    if consts is None:
+        raise ConfigError("no certified coupling constants found")
     lam = consts.lam if lam is None else lam
     table = build_phi_coupling(component, consts.m, consts.delta,
                                consts.L, min(consts.R, 1e300))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import build_component, epsilon_k
-from .dynamics import (DIAGNOSTIC_STREAM, WorkPair, keyed_generator,
-                       make_plans, simulate_lifted_ensemble)
+from .dynamics import (DIAGNOSTIC_STREAM, NOISE_LANES, WorkPair,
+                       keyed_generator, make_plans, simulate_lifted_ensemble)
 from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
 
@@ -69,18 +69,17 @@ def sliced_w1(samples_a, samples_b, seed=0):
     return _w1_sorted(pa, pb)
 
 
-def _bootstrap_w1(pairs, sizes, n_boot, draw, statistic, seed):
-    """(n_boot,) replicates of statistic(w), where w[i] is
-    sliced_w1(A_i[ia], B_i[ib], seed) over pairs [(A_i, B_i)] of rows of
-    dimension n, and (ia, ib) = draw() is the replicate's resample, of the
-    two sizes.
+def _bootstrap_w1(pool, sizes, n_boot, draw, seed):
+    """(n_boot,) replicates of sliced_w1(pool[ia], pool[ib], seed) for rows
+    of dimension n, where (ia, ib) = draw() is the replicate's resample, of
+    the two sizes.
 
     The replicates are the units of a dynamics.WorkPair whose claim hook
     draws the resample into the thread's buffers, so replicate j always
     gets the j-th draw and its value goes to slot j.  Each thread gathers,
     projects and sorts in its own buffers; the sort and the product
     release the interpreter lock, so the two threads' sorts overlap."""
-    n = pairs[0][0].shape[-1]
+    n = pool.shape[-1]
     dirs = _directions(seed, n)
     out = np.empty(n_boot)
 
@@ -92,16 +91,13 @@ def _bootstrap_w1(pairs, sizes, n_boot, draw, statistic, seed):
         buf[0][0][:], buf[1][0][:] = draw()
 
     def run(j, buf):
-        w = np.empty(len(pairs))
-        for i, samples in enumerate(pairs):
-            for x, (idx, rows, proj) in zip(samples, buf):
-                # mode "clip" gathers straight into rows; "raise" would
-                # gather into a temporary first
-                np.take(x, idx, axis=0, out=rows, mode="clip")
-                np.matmul(dirs, rows.T, out=proj)
-                proj.sort(axis=1)
-            w[i] = _w1_sorted(buf[0][2], buf[1][2])
-        out[j] = statistic(w)
+        for idx, rows, proj in buf:
+            # mode "clip" gathers straight into rows; "raise" would gather
+            # into a temporary first
+            np.take(pool, idx, axis=0, out=rows, mode="clip")
+            np.matmul(dirs, rows.T, out=proj)
+            proj.sort(axis=1)
+        out[j] = _w1_sorted(buf[0][2], buf[1][2])
 
     with WorkPair([buffers(), buffers()], run, claim) as replicates:
         replicates.submit(n_boot)
@@ -122,8 +118,7 @@ def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
         return (gen.choice(len(pool), size=len(a)),
                 gen.choice(len(pool), size=len(b)))
 
-    vals = _bootstrap_w1([(pool, pool)], (len(a), len(b)), n_boot, draw,
-                         lambda w: w[0], seed)
+    vals = _bootstrap_w1(pool, (len(a), len(b)), n_boot, draw, seed)
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 
@@ -158,11 +153,14 @@ class DecayFit:
     r_stderr: float
 
 
-def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
-                  n_boot=100):
-    """W1(t) between the X-marginals of two ensembles started at y1, y2,
-    with a log-linear decay fit and a bootstrap standard error for the rate.
-    Both are at the simulated times: each of times rounded to a step."""
+def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2):
+    """W1(t) between the X-marginals of two ensembles started at y1, y2 on
+    common noise (both run trajectories 0, ..., n_traj - 1 of seed: the
+    synchronous coupling), with a log-linear decay fit.  Both are at the
+    simulated times: each of times rounded to a step.  Each full lane block
+    of NOISE_LANES trajectories has a stream of its own, so its fitted rate
+    is an independent replicate; the rate's standard error is the
+    batch-means error over the finite ones, NaN with fewer than two."""
     if n_traj < 2:
         raise ValueError("need at least two trajectories")
     if component.source is not None:
@@ -174,23 +172,20 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2,
     T = max(times)
     sim_times, ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h,
                                    T, times)
-    _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times,
-                           first_index=n_traj)
-    w1 = np.array([sliced_w1(sa, sb, seed=seed) for sa, sb in zip(ens1, ens2)])
+    _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times)
+
+    def w1_of(lanes):
+        return np.array([sliced_w1(sa[lanes], sb[lanes], seed=seed)
+                         for sa, sb in zip(ens1, ens2)])
+
+    w1 = w1_of(slice(None))
     r_hat, intercept = decay_rate(sim_times, w1)
-    # (seed, 2) is also the key of lane block 2, trajectories 512-767;
-    # moving it to the diagnostic range waits on a fit that leaves out W1
-    # values at the noise floor, which bias r_hat low (see ROADMAP)
-    gen = keyed_generator(seed, 2)
-
-    def draw():
-        return (gen.integers(0, n_traj, n_traj),
-                gen.integers(0, n_traj, n_traj))
-
-    rates = _bootstrap_w1(list(zip(ens1, ens2)), (n_traj, n_traj), n_boot,
-                          draw, lambda w: decay_rate(sim_times, w)[0], seed)
-    boots = rates[np.isfinite(rates)]
-    r_se = float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
+    rates = np.array([
+        decay_rate(sim_times, w1_of(slice(j, j + NOISE_LANES)))[0]
+        for j in range(0, n_traj - NOISE_LANES + 1, NOISE_LANES)])
+    rates = rates[np.isfinite(rates)]
+    r_se = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
+            if len(rates) > 1 else np.nan)
     return DecayFit(times=sim_times, w1=w1, r_hat=float(r_hat),
                     intercept=float(intercept), r_stderr=r_se)
 
@@ -305,7 +300,8 @@ class IpmTrend:
 
 def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2):
     """W1 between each rung's stationary X-marginal and the finest rung's,
-    each rung cut off at its automatic theta_max."""
+    each rung cut off at its automatic theta_max and run on common noise:
+    trajectories 0, ..., n_traj - 1 of seed."""
     if len(ks) < 2:
         raise ValueError("ladder needs at least two rungs")
     ks = sorted(ks)
@@ -314,12 +310,12 @@ def ipm_convergence(basis, coeffs, ks, T, n_traj, seed=0, h=1e-2):
         raise ValueError("Lyapunov sufficiency check failed for this ladder")
     marginals = []
     eps = []
-    for i, k in enumerate(ks):
+    for k in ks:
         comp = build_component(basis, k)
         eps.append(epsilon_k(basis, comp))
         z0 = np.zeros((comp.size, basis.n))
         marginals.append(run_ensemble(comp, coeffs, z0, seed, n_traj, h, T,
-                                      [T], first_index=i * n_traj)[1][-1])
+                                      [T])[1][-1])
     finest = marginals[-1]
     w1 = np.array([sliced_w1(mk, finest, seed=seed) for mk in marginals[:-1]])
     floor = noise_floor(finest, finest, seed=seed)

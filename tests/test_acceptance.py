@@ -160,7 +160,8 @@ def test_criterion_07_ergodic_decay():
     times = np.linspace(0.5, 3.0, 6)
     fit = ergodic_decay(comp, ou, np.full((1, 1), 1.0), np.zeros((1, 1)),
                         4096, times, seed=11, h=1e-2)
-    assert abs(fit.r_hat - 1.0) <= 3.0 * fit.r_stderr
+    # on common noise X1 - X2 is deterministic here: exact up to rounding
+    assert abs(fit.r_hat - 1.0) <= 1e-12
 
     well = make_preset("double_well", sigma0=1.0)
     assert check_lyapunov_sufficient(basis, well).passed
@@ -174,7 +175,7 @@ def test_criterion_07_ergodic_decay():
     floor = noise_floor(e1[-1], e2[-1], seed=5)
     assert fit2.r_hat > 0.0
     assert fit2.w1[-1] <= floor
-    report(7, f"OU rate {fit.r_hat:.3f} (3se {3 * fit.r_stderr:.3f}), "
+    report(7, f"OU rate {fit.r_hat:.13f} (se {fit.r_stderr:.1e}), "
               f"double-well rate {fit2.r_hat:.3f} > 0, final W1 under floor")
 
 

@@ -318,6 +318,13 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
      "lags entry 0.2 puts burn_in + lag on step 10", 2, 2),
     ("stationarity", {"scheme": {"h": 0.5, "T": 10.0}, "lags": [1.1, 1.2]},
      "lags entries 1.1 and 1.2", 2, 2),
+    # the square of a Lipschitz constant of 1e300 overflows the coupling
+    # constants, with or without m
+    ("coupling", {"coefficients": {"preset": "tanh", "scale": 1e300}},
+     "coefficients: the coupling constants overflow", 0, 2),
+    ("coupling", {"coupling": {"m": 4.0}, "coefficients": {
+        "preset": "linear", "beta": 1e300}},
+     "coefficients: the coupling constants overflow", 0, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
@@ -382,6 +389,14 @@ def test_verdict_writes_a_non_finite_float_as_null(tmp_path):
     verdict = json.loads((tmp_path / "o" / "verdict.json").read_text(),
                          parse_constant=_reject_constant)
     assert verdict["spearman"] is None
+    # fewer than two full lane blocks give the ergodic rate no standard error
+    doc.update(experiment="ergodic", t_grid=[0.25, 0.5])
+    doc["rng"]["trajectories"] = 511
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert verdict["r_stderr"] is None and verdict["r_hat"] > 0.0
 
 
 _FORKED_RUN = """
@@ -516,7 +531,8 @@ def test_resolved_configs_rerun_to_the_same_bytes(shipped_runs, tmp_path):
 
 def test_two_dimensional_run_keeps_its_bytes(tmp_path):
     # the ergodic_2d benchmark workload, shortened: no shipped config has
-    # n = 2, so this pins the d = 2 noise and the 32-direction bootstrap
+    # n = 2, so this pins the d = 2 noise, the 32 directions and the
+    # lane-block standard error
     doc = {"experiment": "ergodic",
            "basis": {"kind": "expsum", "terms": [
                {"rate": 1.0, "Mb": [[1.0, 0.0], [0.0, 1.0]],
@@ -531,9 +547,9 @@ def test_two_dimensional_run_keeps_its_bytes(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert _digests({"ergodic_2d": tmp_path / "o"}) == {
         "ergodic_2d/results.csv":
-            "4855b4ceab5211e6e212eceda65aa4f69f80b697e2a70d32dccc9484db956fc4",
+            "624bebcf57535dd35444144ea6a860e15c684dc9c33f7c20962ff5c8a488e27e",
         "ergodic_2d/verdict.json":
-            "e7c45fd4434b08c3e87b29354d6b53c871523ded987b3ab676f89cc77b6b7492"}
+            "ea8209260eb6c93d309e102a67bdc8ac21780882be91f3b3f40cbb6c16f39e55"}
 
 
 _NO_SCIPY_RUN = """

@@ -191,9 +191,11 @@ def test_ergodic_decay_ou_rate():
     comp, coeffs = ou_setup()
     times = np.linspace(0.5, 3.0, 6)
     fit = ergodic_decay(comp, coeffs, np.full((1, 1), 1.0),
-                        np.zeros((1, 1)), 2048, times, seed=11, h=1e-2,
-                        n_boot=40)
-    assert abs(fit.r_hat - 1.0) <= 3.0 * fit.r_stderr
+                        np.zeros((1, 1)), 2048, times, seed=11, h=1e-2)
+    # with additive noise and a linear drift, X1 - X2 is deterministic on
+    # common noise: the rate is exact up to rounding, in every lane block
+    assert abs(fit.r_hat - 1.0) <= 1e-12
+    assert fit.r_stderr <= 1e-12
     assert np.all(fit.w1 > 0.0)
 
 
@@ -202,7 +204,7 @@ def test_ergodic_decay_reports_and_fits_the_simulated_times():
     # X at step 1, t = 0.01, so the rows and the fit take that time
     comp, coeffs = ou_setup()
     fit = ergodic_decay(comp, coeffs, np.full((1, 1), 1.0), np.zeros((1, 1)),
-                        64, [0.013, 0.02], seed=0, h=0.01, n_boot=5)
+                        64, [0.013, 0.02], seed=0, h=0.01)
     np.testing.assert_array_equal(fit.times, [0.01, 0.02])
     slope = (np.log(fit.w1[1]) - np.log(fit.w1[0])) / (0.02 - 0.01)
     assert fit.r_hat == pytest.approx(-slope, rel=1e-9)
@@ -213,7 +215,7 @@ def test_ergodic_decay_warns_without_lyapunov():
     shaky = make_preset("linear", beta=-1.5, sigma0=1.0)  # expansive drift
     with pytest.warns(UserWarning):
         ergodic_decay(comp, shaky, np.full((1, 1), 1.0), np.zeros((1, 1)),
-                      64, [0.5, 1.0], seed=0, h=0.05, n_boot=5)
+                      64, [0.5, 1.0], seed=0, h=0.05)
 
 
 def test_stationarity_accepts_stationary_start():
@@ -280,7 +282,8 @@ def test_lift_independence_rejects_mismatched_kernels():
 
 
 
-# -- the two-thread bootstrap against the single-thread loops it replaced ----
+# -- the lane-block standard error and the two-thread bootstrap, against
+# -- plain single-thread loops
 
 def _sliced_w1_one_thread(samples_a, samples_b, seed):
     a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
@@ -307,23 +310,21 @@ def _noise_floor_one_thread(a, b, n_boot, seed):
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 
-def _decay_rates_one_thread(ens1, ens2, times, n_boot, seed):
-    """Every replicate's rate, NaN included, in replicate order."""
-    n_traj = ens1.shape[1]
-    gen = keyed_generator(seed, 2)
+def _lane_block_stderr_one_loop(ens1, ens2, times, seed):
+    """std / sqrt(count) of the finite rates fitted to each full block of
+    256 trajectories, NaN with fewer than two."""
     rates = []
-    for _ in range(n_boot):
-        ia = gen.integers(0, n_traj, n_traj)
-        ib = gen.integers(0, n_traj, n_traj)
-        w1 = np.array([_sliced_w1_one_thread(ens1[i, ia], ens2[i, ib], seed)
+    for first in range(0, ens1.shape[1] - 255, 256):
+        w1 = np.array([_sliced_w1_one_thread(ens1[i, first:first + 256],
+                                             ens2[i, first:first + 256],
+                                             seed)
                        for i in range(len(times))])
-        rates.append(decay_rate(times, w1)[0])
-    return np.array(rates)
-
-
-def _r_stderr_one_thread(rates):
-    boots = [r for r in rates if np.isfinite(r)]
-    return float(np.std(boots, ddof=1)) if len(boots) > 1 else np.nan
+        rate = decay_rate(times, w1)[0]
+        if np.isfinite(rate):
+            rates.append(rate)
+    if len(rates) < 2:
+        return np.nan
+    return float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
 
 
 @pytest.fixture
@@ -335,29 +336,59 @@ def switching():
     sys.setswitchinterval(interval)
 
 
-def _ensembles(n, y1, y2, n_traj, times, sigma0=1.0):
+def _ensembles(n, y1, y2, n_traj, times):
+    """Both ensembles on common noise, as ergodic_decay runs them."""
     mat = np.eye(n)
     comp = build_component(make_expsum_basis([(1.0, mat, mat)]), 1, 2.0)
-    coeffs = make_preset("tanh", n=n, scale=0.5, sigma0=sigma0)
+    coeffs = make_preset("tanh", n=n, scale=0.5, sigma0=1.0)
     sim, ens1 = run_ensemble(comp, coeffs, y1, 3, n_traj, 0.05, max(times),
                              times)
-    ens2 = run_ensemble(comp, coeffs, y2, 3, n_traj, 0.05, max(times), times,
-                        first_index=n_traj)[1]
+    ens2 = run_ensemble(comp, coeffs, y2, 3, n_traj, 0.05, max(times),
+                        times)[1]
     return comp, coeffs, sim, ens1, ens2
+
+
+@pytest.mark.parametrize("n_traj", [511, 512, 600])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ergodic_decay_stderr_is_the_lane_block_batch_means(n, n_traj):
+    # 511 trajectories hold one full lane block, so no standard error; the
+    # 88 trajectories past 512 of the 600 are in no full block
+    times = [0.1, 0.2, 0.4]
+    y1, y2 = np.ones((1, n)), np.zeros((1, n))
+    comp, coeffs, sim, ens1, ens2 = _ensembles(n, y1, y2, n_traj, times)
+    fit = ergodic_decay(comp, coeffs, y1, y2, n_traj, times, seed=3, h=0.05)
+    np.testing.assert_array_equal(
+        fit.w1, [_sliced_w1_one_thread(a, b, 3) for a, b in zip(ens1, ens2)])
+    np.testing.assert_array_equal(
+        fit.r_stderr, _lane_block_stderr_one_loop(ens1, ens2, sim, 3))
+    assert np.isnan(fit.r_stderr) == (n_traj < 512)
+
+
+def test_ergodic_decay_rate_agrees_with_the_coupled_distance():
+    # the synchronous coupling's mean distance E|X1 - X2| decays at the
+    # rate of W1 and needs no noise floor: its fitted rate lies within 3
+    # standard errors of r_hat on a shortened ergodic_2d workload
+    basis = make_expsum_basis([(1.0, np.eye(2),
+                                np.array([[1.0, 0.3], [0.3, 1.0]]))])
+    comp = build_component(basis, 1, "auto")
+    coeffs = make_preset("tanh", n=2, scale=0.5, sigma0=1.0)
+    y1, y2, times = np.ones((1, 2)), np.zeros((1, 2)), [0.5, 1.0, 2.0, 4.0]
+    fit = ergodic_decay(comp, coeffs, y1, y2, 1024, times, seed=17, h=0.01)
+    ens = [run_ensemble(comp, coeffs, y, 17, 1024, 0.01, 4.0, times)[1]
+           for y in (y1, y2)]
+    dist = np.linalg.norm(ens[0] - ens[1], axis=-1).mean(axis=1)
+    rate = decay_rate(fit.times, dist)[0]
+    assert 0.0 < fit.r_stderr < 1e-2
+    assert abs(fit.r_hat - rate) <= 3.0 * fit.r_stderr
 
 
 @pytest.mark.parametrize("n_boot", [1, 2, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_bootstrap_keeps_the_single_thread_bits(switching, n, n_boot):
-    times = [0.1, 0.2, 0.4]
-    y1, y2 = np.ones((1, n)), np.zeros((1, n))
-    comp, coeffs, sim, ens1, ens2 = _ensembles(n, y1, y2, 48, times)
-    fit = ergodic_decay(comp, coeffs, y1, y2, 48, times, seed=3, h=0.05,
-                        n_boot=n_boot)
-    want = _r_stderr_one_thread(
-        _decay_rates_one_thread(ens1, ens2, sim, n_boot, 3))
-    np.testing.assert_array_equal(fit.r_stderr, want)
     # unequal sizes take the merged-quantile W1
+    times = [0.1, 0.2, 0.4]
+    _, _, _, ens1, ens2 = _ensembles(n, np.ones((1, n)), np.zeros((1, n)),
+                                     48, times)
     a, b = ens1[-1], ens2[-1][:30]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # std of one value
@@ -366,46 +397,25 @@ def test_bootstrap_keeps_the_single_thread_bits(switching, n, n_boot):
             _noise_floor_one_thread(a, b, n_boot, 5))
 
 
-def test_bootstrap_keeps_nan_replicates_in_order(switching):
-    # no noise, and both ensembles start from the same two states: a
-    # replicate that draws the same rows on both sides has W1 = 0 at every
-    # time, so a NaN rate, and the others a finite one
-    times = [0.1, 0.2, 0.4]
-    y = np.array([[[1.0]], [[-0.5]]])
-    comp, coeffs, sim, ens1, ens2 = _ensembles(1, y, y, 2, times, sigma0=0.0)
-    want = _decay_rates_one_thread(ens1, ens2, sim, 9, 3)
-    assert np.isnan(want).any() and np.isfinite(want).sum() > 2
-    gen = keyed_generator(3, 2)
-    got = _bootstrap_w1(
-        list(zip(ens1, ens2)), (2, 2), 9,
-        lambda: (gen.integers(0, 2, 2), gen.integers(0, 2, 2)),
-        lambda w: decay_rate(sim, w)[0], 3)
-    np.testing.assert_array_equal(got, want)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # Lyapunov check
-        fit = ergodic_decay(comp, coeffs, y, y, 2, times, seed=3, h=0.05,
-                            n_boot=9)
-    np.testing.assert_array_equal(fit.r_stderr, _r_stderr_one_thread(want))
-
-
 @pytest.mark.parametrize("fail", [False, True])
-def test_bootstrap_joins_its_worker(fail):
+def test_bootstrap_joins_its_worker(monkeypatch, fail):
     # the worker's replicates are slow, so a caller that did not wait for
     # it would finish first: return before its value is in, or miss what
     # it raised
     caller = threading.get_ident()
     ran_on = []
 
-    def statistic(w):
+    def w1_sorted(a, b):
         ran_on.append(threading.get_ident())
         if threading.get_ident() == caller:
             time.sleep(0.01)
-            return w[0]
+            return _w1_sorted(a, b)
         time.sleep(0.2)
         if fail:
             raise ZeroDivisionError("a replicate on the worker")
-        return w[0]
+        return _w1_sorted(a, b)
 
+    monkeypatch.setattr(ergodics, "_w1_sorted", w1_sorted)
     x = np.random.default_rng(0).standard_normal((16, 1))
     gen = np.random.default_rng(1)
 
@@ -415,35 +425,34 @@ def test_bootstrap_joins_its_worker(fail):
     before = threading.active_count()
     if fail:
         with pytest.raises(ZeroDivisionError, match="on the worker"):
-            _bootstrap_w1([(x, x)], (16, 16), 6, draw, statistic, 0)
+            _bootstrap_w1(x, (16, 16), 6, draw, 0)
     else:
-        out = _bootstrap_w1([(x, x)], (16, 16), 6, draw, statistic, 0)
+        out = _bootstrap_w1(x, (16, 16), 6, draw, 0)
         assert np.all(out > 0.0)
     assert threading.active_count() == before
     assert set(ran_on) - {caller}
 
 
 def test_bootstrap_memory_bounded():
-    # 100 replicates of two (6, 4096, 2) ensembles, the ergodic_2d shape,
-    # hold the two threads' buffers (an index pair, the gathered rows and
-    # the projections each) and the one pair just drawn; 1% covers the
-    # directions, the fits and the frames around them
+    # 100 replicates of noise_floor's shape for two 4096-row samples of
+    # n = 2: a pool of 8192 rows, resampled in two sets of 4096; they hold
+    # the two threads' buffers (an index pair, the gathered rows and the
+    # projections each) and the one pair just drawn; 1% covers the
+    # directions and the frames around them
     n_traj, n = 4096, 2
-    ens = np.random.default_rng(2).standard_normal((2, 6, n_traj, n))
-    times = np.arange(1.0, 7.0)
-    gen = keyed_generator(0, 2)
+    pool = np.random.default_rng(2).standard_normal((2 * n_traj, n))
+    gen = keyed_generator(0, DIAGNOSTIC_STREAM + 1)
 
     def draw():
-        return (gen.integers(0, n_traj, n_traj),
-                gen.integers(0, n_traj, n_traj))
+        return (gen.integers(0, 2 * n_traj, n_traj),
+                gen.integers(0, 2 * n_traj, n_traj))
 
     pair = 2 * n_traj * 8
     per_thread = pair + 2 * n_traj * n * 8 + 2 * N_DIRECTIONS * n_traj * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _bootstrap_w1(list(zip(*ens)), (n_traj, n_traj), 100, draw,
-                      lambda w: decay_rate(times, w)[0], 0)
+        _bootstrap_w1(pool, (n_traj, n_traj), 100, draw, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
