@@ -511,6 +511,14 @@ def main(argv=None):
     except (ValueError, ConfigError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        msg = "out of memory"
+        if "scheme" in cfg:  # only the runs that step read it
+            h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
+            msg += (f" for scheme.T = {T!r} at scheme.h = {h!r}, "
+                    f"{round(T / h)} steps")
+        print(f"precondition failure: {msg}", file=sys.stderr)
+        return 2
     return 0
 
 

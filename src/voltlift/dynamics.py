@@ -120,13 +120,13 @@ def _lane_blocks(plans):
 class WorkPair:
     """Units 0, ..., n - 1 of each submit(n), claimed in turn under one lock
     by the calling thread and one worker, each with its own of the two
-    buffers the caller allocates: claim(j, buf) runs under the lock, so the
-    j-th claim is unit j's, and run(j, buf) after it.  finish() runs what
-    is left on the calling thread, waits for the worker's unit and raises
-    what it raised.  Leaving the with block joins the worker."""
+    buffers the caller allocates: run(j, buf) runs unit j outside the lock.
+    finish() runs what is left on the calling thread, waits for the
+    worker's unit and raises what it raised.  Leaving the with block joins
+    the worker."""
 
-    def __init__(self, buffers, run, claim=lambda j, buf: None):
-        self.buffers, self.run, self.claim = buffers, run, claim
+    def __init__(self, buffers, run):
+        self.buffers, self.run = buffers, run
         self.cond = threading.Condition()
         self.next, self.end, self.busy, self.error = 0, 0, False, None
         self.worker = threading.Thread(target=self._work, args=(1,),
@@ -157,7 +157,7 @@ class WorkPair:
                         self.cond.wait_for(lambda: self.next != self.end)
                     if self.next >= self.end or self.error is not None:
                         return
-                    self.claim(j := self.next, buf)
+                    j = self.next
                     self.next, self.busy = j + 1, self.busy or worker
                 self.run(j, buf)
         except BaseException as exc:

@@ -1,8 +1,12 @@
 """Ensemble Monte Carlo diagnostics: Wasserstein estimators, decay fits,
 stationarity tests, lift-independence and invariant-measure convergence.
 
-All pass/fail verdicts are relative to same-distribution bootstrap noise
-floors rather than analytic rates.
+The stationarity and lift-independence verdicts are relative to
+same-distribution bootstrap noise floors (noise_floor) rather than analytic
+rates.  ergodic_decay needs no floor: its two ensembles share their noise,
+and its rate's error is the batch-means error over the lane blocks.  The
+coupling verdicts (coupling.contraction_report) are relative to the
+exp(-kappa t / 2) envelope.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import build_component, epsilon_k
-from .dynamics import (DIAGNOSTIC_STREAM, NOISE_LANES, WorkPair,
-                       keyed_generator, make_plans, simulate_lifted_ensemble)
+from .dynamics import (DIAGNOSTIC_STREAM, NOISE_LANES, keyed_generator,
+                       make_plans, simulate_lifted_ensemble)
 from .kernelbasis import DIFFUSION, DRIFT, eval_kernel
 from .weights import check_lyapunov_sufficient
 
@@ -69,56 +73,30 @@ def sliced_w1(samples_a, samples_b, seed=0):
     return _w1_sorted(pa, pb)
 
 
-def _bootstrap_w1(pool, sizes, n_boot, draw, seed):
-    """(n_boot,) replicates of sliced_w1(pool[ia], pool[ib], seed) for rows
-    of dimension n, where (ia, ib) = draw() is the replicate's resample, of
-    the two sizes.
-
-    The replicates are the units of a dynamics.WorkPair whose claim hook
-    draws the resample into the thread's buffers, so replicate j always
-    gets the j-th draw and its value goes to slot j.  Each thread gathers,
-    projects and sorts in its own buffers; the sort and the product
-    release the interpreter lock, so the two threads' sorts overlap."""
-    n = pool.shape[-1]
-    dirs = _directions(seed, n)
-    out = np.empty(n_boot)
-
-    def buffers():  # per side: the resample, its rows, their projections
-        return [(np.empty(m, dtype=np.int64), np.empty((m, n)),
-                 np.empty((len(dirs), m))) for m in sizes]
-
-    def claim(j, buf):
-        buf[0][0][:], buf[1][0][:] = draw()
-
-    def run(j, buf):
-        for idx, rows, proj in buf:
-            # mode "clip" gathers straight into rows; "raise" would gather
-            # into a temporary first
-            np.take(pool, idx, axis=0, out=rows, mode="clip")
-            np.matmul(dirs, rows.T, out=proj)
-            proj.sort(axis=1)
-        out[j] = _w1_sorted(buf[0][2], buf[1][2])
-
-    with WorkPair([buffers(), buffers()], run, claim) as replicates:
-        replicates.submit(n_boot)
-        replicates.finish()
-    return out
-
-
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
     """Same-distribution bootstrap floor: resample two sets of rows from the
     pooled rows and take mean + 3 std of their marginal W1, the
-    statistic the floor gates."""
+    statistic the floor gates.  Each side gathers, projects and sorts its
+    resample in one pair of buffers that every replicate reuses."""
     a, b = (np.asarray(s, float).reshape(len(s), -1)
             for s in (samples_a, samples_b))
     pool = np.concatenate([a, b])
     gen = keyed_generator(seed, DIAGNOSTIC_STREAM + 1)
-
-    def draw():
-        return (gen.choice(len(pool), size=len(a)),
-                gen.choice(len(pool), size=len(b)))
-
-    vals = _bootstrap_w1(pool, (len(a), len(b)), n_boot, draw, seed)
+    n = pool.shape[-1]
+    dirs = _directions(seed, n)
+    # per side: the resampled rows and their projections
+    sides = [(np.empty((len(s), n)), np.empty((len(dirs), len(s))))
+             for s in (a, b)]
+    vals = np.empty(n_boot)
+    for j in range(n_boot):
+        for rows, proj in sides:
+            # mode "clip" gathers straight into rows; "raise" would gather
+            # into a temporary first
+            np.take(pool, gen.choice(len(pool), size=len(rows)), axis=0,
+                    out=rows, mode="clip")
+            np.matmul(dirs, rows.T, out=proj)
+            proj.sort(axis=1)
+        vals[j] = _w1_sorted(sides[0][1], sides[1][1])
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 

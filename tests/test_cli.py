@@ -13,11 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from voltlift import cli
 from voltlift.cli import EXPERIMENTS, SCHEMA, main
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NoisePlan, make_preset, simulate_lifted,
                                truncate_coefficients)
 from voltlift.kernelbasis import basis_to_json, make_expsum_basis
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 ATOM_BASIS = {"kind": "expsum",
               "terms": [{"rate": 1.0, "Mb": [[1.0]], "Ms": [[1.0]]}]}
@@ -575,6 +581,50 @@ def test_run_path_loads_no_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _limit_address_space():
+    # 2 GiB holds the interpreter and numpy, but not the records of 10**9
+    # steps: simulate's states, 14.9 GiB, or the coupled pair's mean and
+    # stderr, 7.45 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+@pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("name", ["simulate", "coupling"])
+def test_a_run_out_of_memory_exits_2(tmp_path, name):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["scheme"].update(h=1e-9, T=1.0)
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # one BLAS thread: a thread per core would reserve address space of its
+    # own on a many-core machine
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "voltlift.cli", "run",
+                           "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for part in ("scheme.h = 1e-09", "scheme.T = 1.0", "1000000000 steps"):
+        assert part in proc.stderr, proc.stderr
+
+
+def test_out_of_memory_without_a_scheme_exits_2(tmp_path, monkeypatch,
+                                                capsys):
+    # lyapunov_check reads no scheme, so the message names none
+    doc = simulate_config(tmp_path / "o")
+    doc["experiment"] = "lyapunov_check"
+    cfg = write_config(tmp_path, "cfg.json", doc)
+
+    def out_of_memory(cfg, out_dir):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "precondition failure: out of memory\n"
 
 
 def _leaf_paths(node, path=()):

@@ -1,7 +1,5 @@
 import re
 import sys
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -15,11 +13,11 @@ from voltlift import ergodics
 from voltlift.discretize import build_component
 from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
                                make_preset, simulate_lifted)
-from voltlift.ergodics import (N_DIRECTIONS, _bootstrap_w1, _directions,
-                               _spearman, _w1_sorted, decay_rate,
-                               ergodic_decay, lift_independence_test,
-                               noise_floor, run_ensemble, sliced_w1,
-                               stationarity_test, wasserstein1_1d)
+from voltlift.ergodics import (N_DIRECTIONS, _directions, _spearman,
+                               _w1_sorted, decay_rate, ergodic_decay,
+                               lift_independence_test, noise_floor,
+                               run_ensemble, sliced_w1, stationarity_test,
+                               wasserstein1_1d)
 from voltlift.kernelbasis import make_expsum_basis
 
 EYE = np.eye(1)
@@ -397,63 +395,22 @@ def test_bootstrap_keeps_the_single_thread_bits(switching, n, n_boot):
             _noise_floor_one_thread(a, b, n_boot, 5))
 
 
-@pytest.mark.parametrize("fail", [False, True])
-def test_bootstrap_joins_its_worker(monkeypatch, fail):
-    # the worker's replicates are slow, so a caller that did not wait for
-    # it would finish first: return before its value is in, or miss what
-    # it raised
-    caller = threading.get_ident()
-    ran_on = []
-
-    def w1_sorted(a, b):
-        ran_on.append(threading.get_ident())
-        if threading.get_ident() == caller:
-            time.sleep(0.01)
-            return _w1_sorted(a, b)
-        time.sleep(0.2)
-        if fail:
-            raise ZeroDivisionError("a replicate on the worker")
-        return _w1_sorted(a, b)
-
-    monkeypatch.setattr(ergodics, "_w1_sorted", w1_sorted)
-    x = np.random.default_rng(0).standard_normal((16, 1))
-    gen = np.random.default_rng(1)
-
-    def draw():
-        return gen.integers(0, 16, 16), gen.integers(0, 16, 16)
-
-    before = threading.active_count()
-    if fail:
-        with pytest.raises(ZeroDivisionError, match="on the worker"):
-            _bootstrap_w1(x, (16, 16), 6, draw, 0)
-    else:
-        out = _bootstrap_w1(x, (16, 16), 6, draw, 0)
-        assert np.all(out > 0.0)
-    assert threading.active_count() == before
-    assert set(ran_on) - {caller}
-
-
 def test_bootstrap_memory_bounded():
-    # 100 replicates of noise_floor's shape for two 4096-row samples of
-    # n = 2: a pool of 8192 rows, resampled in two sets of 4096; they hold
-    # the two threads' buffers (an index pair, the gathered rows and the
-    # projections each) and the one pair just drawn; 1% covers the
-    # directions and the frames around them
+    # noise_floor's 100 replicates for two 4096-row samples of n = 2: a
+    # pool of 8192 rows; per side the gathered rows and their projections,
+    # reused by every replicate; and the one resample index being drawn;
+    # 1% covers the directions, the replicates' values and the frames
     n_traj, n = 4096, 2
-    pool = np.random.default_rng(2).standard_normal((2 * n_traj, n))
-    gen = keyed_generator(0, DIAGNOSTIC_STREAM + 1)
-
-    def draw():
-        return (gen.integers(0, 2 * n_traj, n_traj),
-                gen.integers(0, 2 * n_traj, n_traj))
-
-    pair = 2 * n_traj * 8
-    per_thread = pair + 2 * n_traj * n * 8 + 2 * N_DIRECTIONS * n_traj * 8
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((n_traj, n)), rng.standard_normal((n_traj, n))
+    pool = 2 * n_traj * n * 8
+    per_side = n_traj * n * 8 + N_DIRECTIONS * n_traj * 8
+    index = n_traj * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _bootstrap_w1(pool, (n_traj, n_traj), 100, draw, 0)
+        noise_floor(a, b, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 1.01 * (2 * per_thread + pair)
+    assert peak - base <= 1.01 * (pool + 2 * per_side + index)
