@@ -3,7 +3,9 @@
 Exit codes: 0 completed, 2 precondition/config failure, 3 numerical abort.
 Result CSVs are byte-identical across reruns; wall-clock metadata lives in
 a separate file so the CSV body stays deterministic.  ``run --threads N``
-is accepted and ignored: every ensemble runs in the calling thread.
+is accepted and ignored: voltlift starts no thread, and a large lifted
+ensemble or coupled pair steps its later lane blocks in one forked child
+process with the bits of one process (README, "The second process").
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ except ImportError:  # not on Windows
 from . import coupling as cpl
 from . import ergodics as erg
 from .discretize import build_component, reconstructed_kernel
-from .dynamics import (PRESETS, NoisePlan, make_plans, simulate_lifted,
-                       truncate_coefficients)
+from .dynamics import (PRESETS, NoisePlan, make_plans,
+                       simulate_lifted_ensemble, truncate_coefficients)
 from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
                           inf_support, make_expsum_basis,
                           make_tempered_fractional_basis)
@@ -147,6 +149,7 @@ def resolve_config(raw):
         else:
             cfg[key] = _resolve(key, raw[key], SCHEMA[key])
     _check_steps(cfg, default_t_grid="t_grid" not in raw)
+    _check_samples(cfg)
     return cfg
 
 
@@ -188,6 +191,18 @@ def _check_steps(cfg, default_t_grid):
     if round(T / h) == 0:
         raise ConfigError(f"scheme.h = {h!r} leaves scheme.T = {T!r} no "
                           "step: round(T / h) = 0")
+
+
+def _check_samples(cfg):
+    """An ergodic run compares ensembles of at least two trajectories, and
+    a kernel_error run checks at least one time."""
+    n_traj = cfg["rng"]["trajectories"]
+    if cfg["experiment"] == "ergodic" and n_traj < 2:
+        raise ConfigError(f"rng.trajectories must be at least 2 in an "
+                          f"ergodic run, got {n_traj}")
+    if cfg["experiment"] == "kernel_error" and not cfg["t_grid"]:
+        raise ConfigError("t_grid must hold at least one time in a "
+                          "kernel_error run, got []")
 
 
 def _call_checked(key, fn, spec):
@@ -331,16 +346,17 @@ def _kernel_error(cfg, basis, coeffs, out_dir):
 
 def _simulate(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
-    T = cfg["scheme"]["T"]
-    plan = NoisePlan(cfg["rng"]["seed"], 0, cfg["scheme"]["h"], T,
-                     d=coeffs.d)
-    path = simulate_lifted(component, coeffs, _initial(cfg, component)[0],
-                           plan)
+    h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
+    plan = NoisePlan(cfg["rng"]["seed"], 0, h, T, d=coeffs.d)
+    # X at every step, and no state but the last: path.csv holds only X
+    times, X, _ = simulate_lifted_ensemble(
+        component, coeffs, _initial(cfg, component)[0], [plan],
+        record_times=np.arange(plan.n_steps + 1) * h)
     _write_rows(out_dir / "path.csv",
                 "t," + ",".join(f"X_{i+1}" for i in range(component.n)),
                 [(float(t),) + tuple(map(float, x))
-                 for t, x in zip(path.times, path.observables)])
-    final = path.observables[-1]
+                 for t, x in zip(times, X[:, 0])])
+    final = X[-1, 0]
     return [(component.size, T, float(final[0]), 0.0, 0.0)], dict(
         final_X=[float(v) for v in final])
 

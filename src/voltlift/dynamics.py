@@ -5,14 +5,19 @@ direct scheme is a left-point Volterra Euler with drift weights integrated
 on the rule of ``quad.nodes``.  Both run a batch of plans on one noise
 source, ``_stacked_increments``, which draws counter-based streams, one per
 block of NOISE_LANES trajectories, so that paths can be cross-validated on
-identical noise.
+identical noise.  voltlift starts no thread: a large lifted ensemble or
+coupled pair steps its later lane blocks in one forked child process
+(``_step_in_parts``), with the bits of one process.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import closing
+import mmap
+import os
+import pickle
+import signal
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +31,16 @@ NOISE_LANES = 256
 # normals of noise a batch holds at once, at most
 NOISE_BUFFER = 2 ** 19
 DIAGNOSTIC_STREAM = 2 ** 63
+# steps a forked part reports at a time, and the coupled pair's distance
+# rows per mean and standard error
+STAT_ROWS = 16
+# state entries (trajectories x I x n) that each part of a batch needs
+# before a child process steps one part: with fewer, the per-step calls
+# that both processes make outweigh the arithmetic a part takes off the
+# other (README, "The second process")
+FORK_MIN_PART_ENTRIES = 2048
+# blocks of STAT_ROWS steps a coupled pair's child may run ahead
+RING_BLOCKS = 8
 
 
 def keyed_generator(seed, stream):
@@ -117,64 +132,6 @@ def _lane_blocks(plans):
             for key, members in rows.items()]
 
 
-class WorkPair:
-    """Units 0, ..., n - 1 of each submit(n), claimed in turn under one lock
-    by the calling thread and one worker, each with its own of the two
-    buffers the caller allocates: run(j, buf) runs unit j outside the lock.
-    finish() runs what is left on the calling thread, waits for the
-    worker's unit and raises what it raised.  Leaving the with block joins
-    the worker."""
-
-    def __init__(self, buffers, run):
-        self.buffers, self.run = buffers, run
-        self.cond = threading.Condition()
-        self.next, self.end, self.busy, self.error = 0, 0, False, None
-        self.worker = threading.Thread(target=self._work, args=(1,),
-                                       name="voltlift-worker", daemon=True)
-        self.worker.start()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.submit(-1)  # no unit is left, nor will be: the worker returns
-        self.worker.join()
-
-    def submit(self, n):
-        with self.cond:
-            self.next, self.end = 0, n
-            self.cond.notify_all()
-
-    def _work(self, worker):
-        # the worker (1) serves until closed, the caller (0) takes what is left
-        buf = self.buffers[worker]
-        try:
-            while True:
-                with self.cond:
-                    if worker:  # its last unit is done; wait for the next
-                        self.busy = False
-                        self.cond.notify_all()
-                        self.cond.wait_for(lambda: self.next != self.end)
-                    if self.next >= self.end or self.error is not None:
-                        return
-                    j = self.next
-                    self.next, self.busy = j + 1, self.busy or worker
-                self.run(j, buf)
-        except BaseException as exc:
-            if not worker:
-                raise
-            with self.cond:  # raised in the calling thread
-                self.error, self.busy = exc, False
-                self.cond.notify_all()
-
-    def finish(self):
-        self._work(0)
-        with self.cond:
-            self.cond.wait_for(lambda: not self.busy)
-            if self.error is not None:
-                raise self.error
-
-
 def _check_plans(plans):
     """Reject a plan whose (h, T, d) differs from the first's: a batch is
     stepped together."""
@@ -191,38 +148,27 @@ def _check_plans(plans):
 def _stacked_increments(plans):
     """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
     the values of NoisePlan.increments.  Each lane block's stream is drawn
-    once for all its plans, step-major, a few steps at a time.  A step
-    block's lane blocks are the units of a WorkPair, submitted once the
-    block before has yielded its first row: two blocks and two lane
-    buffers then hold at most NOISE_BUFFER normals, flat in T.  Every
-    integrator steps its batch on these, so a plan that disagrees is
-    rejected here."""
+    once for all its plans, step-major, a few steps at a time, through one
+    lane buffer.  A step block is drawn while the one before is still held,
+    so two blocks and the lane buffer hold at most NOISE_BUFFER normals,
+    flat in T.  Every integrator steps its batch on these, so a plan that
+    disagrees is rejected here."""
     _check_plans(plans)
     first = plans[0]
     m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
     blocks = _lane_blocks(plans)
     steps = max(1, min(NOISE_BLOCK_STEPS,
-                       NOISE_BUFFER // (2 * (len(plans) + NOISE_LANES) * d)))
-
-    def fill(i, lanes):
-        gen, dst, src = blocks[i]
-        lanes = lanes[:len(out)]
-        gen.standard_normal(out=lanes)
-        lanes *= scale
-        out[:, dst] = lanes[:, src]
-
-    with WorkPair([np.empty((steps, NOISE_LANES, d)) for _ in range(2)],
-                  fill) as pair:
-        rows = iter(())
-        for start in range(0, m, steps):
-            # step-major and C-ordered, so each step's rows are contiguous
-            out = np.empty((min(steps, m - start), len(plans), d))
-            pair.submit(len(blocks))
-            yield from rows
-            pair.finish()
-            rows = iter(out)
-            yield next(rows)
-        yield from rows
+                       NOISE_BUFFER // ((2 * len(plans) + NOISE_LANES) * d)))
+    lanes = np.empty((steps, NOISE_LANES, d))
+    for start in range(0, m, steps):
+        # step-major and C-ordered, so each step's rows are contiguous
+        out = np.empty((min(steps, m - start), len(plans), d))
+        for gen, dst, src in blocks:
+            drawn = lanes[:len(out)]
+            gen.standard_normal(out=drawn)
+            drawn *= scale
+            out[:, dst] = drawn[:, src]
+        yield from out
 
 
 def make_plans(seed, n_traj, h, T, d=1, first_index=0):
@@ -339,19 +285,206 @@ def _check_finite(kind, step, plans, *states, observed=()):
         f"non-finite {kind} state at step {step}, trajectory {j}")
 
 
-def _lifted_steps(component, coeffs, z0, plans):
-    """Integrate the ensemble of plans (a lone plan twice, see _batch);
-    yield (step, z, x), trajectory-last, for step 0 and after every step.
-    Each yielded array is new, never updated in place."""
-    ops = step_operators(component, plans[0].h, width=len(_batch(plans)))
-    z, x = _initial_states(ops, z0, plans)
-    plans = _batch(plans)
+def _lifted_steps(component, coeffs, z, plans):
+    """Step the trajectory-last states z, one column per row of the _batch
+    of plans; yield (step, z, x) for step 0 and after every step.  Each
+    yielded array is new, never updated in place."""
+    batch = _batch(plans)
+    ops = step_operators(component, plans[0].h, width=len(batch))
+    x = ops.observe(z)
     yield 0, z, x
-    with closing(_stacked_increments(plans)) as noise:
+    with closing(_stacked_increments(batch)) as noise:
         for step, dw in enumerate(noise, start=1):
             z, x = lifted_step(ops, coeffs, z, x, dw)
-            _check_finite("lifted", step, plans, z, observed=(x,))
+            _check_finite("lifted", step, batch, z, observed=(x,))
             yield step, z, x
+
+
+def _fork_row(plans, size):
+    """The row of the batch from which a child process steps it: the
+    lane-block boundary nearest the middle that leaves each part at least
+    FORK_MIN_PART_ENTRIES state entries (size a trajectory) and two
+    trajectories (a lone one would be stepped twice, see _batch, in a part
+    whose states hold it once).  None, and the calling process steps every
+    row, when there is no such boundary, on one usable CPU or on a platform
+    without sched_getaffinity (Windows, which has no fork, and macOS)."""
+    if (len(plans) * size < 2 * FORK_MIN_PART_ENTRIES
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    least = max(2, -(-FORK_MIN_PART_ENTRIES // size))  # rows of a part
+    blocks = [(p.seed, p.trajectory_index // NOISE_LANES) for p in plans]
+    starts = [r for r in range(least, len(plans) - least + 1)
+              if blocks[r] != blocks[r - 1]]
+    return min(starts, key=lambda r: abs(2 * r - len(plans)), default=None)
+
+
+def _pickled_error(step, exc):
+    """(step, exc) pickled, if it loads again: an error whose constructor
+    takes other arguments than its args, or that holds an object pickle
+    cannot write, goes as a RuntimeError naming its type and text."""
+    try:
+        data = pickle.dumps((step, exc))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((step, RuntimeError(
+            f"{type(exc).__qualname__} in the child process: {exc}")))
+
+
+class _ForkedPart:
+    """The steps of the last rows of a batch, run in a child process made
+    by os.fork() (README, "The second process").  steps yields (step, row,
+    *last) at step 0 and after every step.  After each block of STAT_ROWS
+    steps the child sends one byte.  With a ring (ring entries a row) it
+    first writes the block's rows to slot b % RING_BLOCKS of a ring in
+    shared anonymous memory; the caller copies them out and, if the child
+    has a block still to write there, sends a byte back that frees the
+    slot.  At the end the child writes its last arrays (finals: their
+    shapes) after the ring and sends b"d"; on an error it sends b"e" and
+    the pickled (step, error).  Leaving the with block kills the child if
+    it still runs and reaps it."""
+
+    def __init__(self, steps, m, ring, finals):
+        self.last, self.blocks, self.error = m // STAT_ROWS, 0, None
+        sizes = [RING_BLOCKS * STAT_ROWS * ring] + [math.prod(s)
+                                                    for s in finals]
+        # the ring, then the last arrays; unmapped with the last view of it
+        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        slots, *results = np.split(shared, np.cumsum(sizes)[:-1])
+        self.ring = slots.reshape(RING_BLOCKS, STAT_ROWS, ring)
+        self.results = [a.reshape(s) for a, s in zip(results, finals)]
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(ready_r)
+            os.close(free_w)
+            self._serve(steps, ready_w, free_r)
+        os.close(ready_w)
+        os.close(free_r)
+        self.ready, self.free = open(ready_r, "rb"), free_w
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.kill(self.pid, signal.SIGKILL)  # a child that has exited ignores it
+        os.waitpid(self.pid, 0)
+        self.ready.close()
+        os.close(self.free)
+
+    def _serve(self, steps, ready, free):
+        """The child's side: step, write and send, then end the process."""
+        step = -1
+        try:
+            with open(ready, "wb") as out:
+                try:
+                    for step, row, *last in steps:
+                        b, r = divmod(step, STAT_ROWS)
+                        if r == 0 and step:
+                            out.write(b"b")
+                            out.flush()
+                            if (self.ring.size and b >= RING_BLOCKS
+                                    and not os.read(free, 1)):
+                                return  # the caller has gone
+                        self.ring[b % RING_BLOCKS, r] = row
+                    for dst, src in zip(self.results, last):
+                        dst[...] = src
+                    out.write(b"bd")
+                except BaseException as exc:
+                    out.write(b"e" + _pickled_error(step + 1, exc))
+        finally:
+            os._exit(0)
+
+    def _next(self):
+        """Read the child's next message: count a block, or keep its error
+        (one that ends it without a message comes after every step)."""
+        kind = self.ready.read(1)
+        if kind == b"b":
+            self.blocks += 1
+        elif kind == b"e":
+            try:
+                self.error = pickle.loads(self.ready.read())
+            except Exception as exc:  # a message cut short
+                self.error = (math.inf, RuntimeError(
+                    f"child process {self.pid} sent an unreadable error: "
+                    f"{exc!r}"))
+        elif kind != b"d":
+            self.error = (math.inf, RuntimeError(
+                f"child process {self.pid} ended without a result"))
+        return kind
+
+    def fill(self, b, rows):
+        """Wait for the child's block b: copy its first len(rows) ring rows
+        into rows and free its slot, or raise what the child raised."""
+        if self._next() != b"b":
+            raise self.error[1]
+        rows[...] = self.ring[b % RING_BLOCKS, :len(rows)]
+        if self.ring.size and b + RING_BLOCKS <= self.last:
+            os.write(self.free, b"f")
+
+    def finals(self):
+        """The child's last arrays."""
+        if self._next() != b"d":
+            raise self.error[1]
+        return [view.copy() for view in self.results]
+
+    def raise_first(self, at):
+        """The caller failed at step at: raise the child's error if it came
+        at an earlier step, which one process would have raised; on a tie
+        the caller's, whose trajectories come first, stands."""
+        while self.error is None and STAT_ROWS * self.blocks < at - 1:
+            self._next()  # block b arrives once step 16 (b + 1) passed
+        if self.error is not None and self.error[0] < at:
+            raise self.error[1] from None
+
+
+def _step_in_parts(part, plans, size, finals, block=None):
+    """Step a batch of plans with size state entries a trajectory, in two
+    processes where _fork_row splits it.  part(rows)
+    steps plans[rows] and yields (step, row, *last) at step 0 and after
+    every step; the child steps the rows from the split on, and the
+    calling process the rest.  block(b, rows), if given, gets the rows of
+    steps STAT_ROWS * b, ... from both parts, a column per row of the
+    _batch of plans.  Returns each last array of both parts (finals: their
+    leading shapes) joined on its last, trajectory, axis."""
+    split = _fork_row(plans, size)
+    own = slice(split)  # the calling process's rows, all without a child
+    rows = np.empty((STAT_ROWS, len(_batch(plans)) if block else 0))
+    child = None if split is None else _ForkedPart(
+        part(slice(split, None)), plans[0].n_steps,
+        len(plans) - split if block else 0,
+        [s + (len(plans) - split,) for s in finals])
+
+    def flush(b, k):  # rows[:k] hold steps STAT_ROWS * b, ..., + k - 1
+        if child:
+            child.fill(b, rows[:k, split:])
+        if block:
+            block(b, rows[:k])
+
+    with child or nullcontext():
+        step = -1
+        try:
+            for step, row, *last in part(own):
+                b, r = divmod(step, STAT_ROWS)
+                if r == 0 and step:  # the rows hold the block before
+                    flush(b - 1, STAT_ROWS)
+                rows[r, own] = row
+            flush(b, r + 1)
+            if child:
+                last = [np.concatenate(pair, axis=-1)
+                        for pair in zip(last, child.finals())]
+        except Exception:
+            if child:
+                child.raise_first(step + 1)
+            raise
+    return last
 
 
 def simulate_lifted(component, coeffs, z0, plan):
@@ -359,7 +492,8 @@ def simulate_lifted(component, coeffs, z0, plan):
     m = plan.n_steps
     states = np.empty((m + 1, component.size, component.n))
     obs = np.empty((m + 1, component.n))
-    for step, z, x in _lifted_steps(component, coeffs, z0, [plan]):
+    z, _ = _initial_states(step_operators(component, plan.h), z0, [plan])
+    for step, z, x in _lifted_steps(component, coeffs, z, [plan]):
         states[step], obs[step] = _by_trajectory(component, z)[0], x[:, 0]
     return LiftedPath(times=np.arange(m + 1) * plan.h, states=states,
                       observables=obs)
@@ -368,20 +502,33 @@ def simulate_lifted(component, coeffs, z0, plan):
 def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
     """Integrate one trajectory per plan from z0 (one state, or one per
     trajectory).  Returns (times, X, z_final) with X of shape
-    (n_rec, n_traj, n); record_times=None records the final time only."""
+    (n_rec, n_traj, n); record_times=None records the final time only.
+    The rows from _fork_row on are stepped in a child process (README,
+    "The second process")."""
+    _check_plans(plans)
     h, m = plans[0].h, plans[0].n_steps
-    rec_steps = ([m] if record_times is None
-                 else [int(round(t / h)) for t in record_times])
-    if any(s < 0 or s > m for s in rec_steps):
+    rec_steps = (np.array([m]) if record_times is None else
+                 np.rint(np.asarray(record_times, dtype=float) / h)
+                 .astype(np.int64))
+    if np.any((rec_steps < 0) | (rec_steps > m)):
         raise ValueError("record time outside the simulated horizon")
-    rec = dict.fromkeys(rec_steps)
-    n_traj = len(plans)
-    for step, z, x in _lifted_steps(component, coeffs, z0, plans):
-        if step in rec:
-            rec[step] = x[:, :n_traj].T
-    return (np.array([s * h for s in rec_steps]),
-            np.stack([rec[s] for s in rec_steps]),
-            _by_trajectory(component, z)[:n_traj].copy())
+    order = np.argsort(rec_steps, kind="stable")  # records in step order
+    z, _ = _initial_states(step_operators(component, h), z0, plans)
+
+    def part(rows):
+        n_part, k = len(plans[rows]), 0
+        X = np.empty((len(rec_steps), component.n, n_part))
+        for step, zs, x in _lifted_steps(component, coeffs, z[:, rows].copy(),
+                                         plans[rows]):
+            while k < len(order) and rec_steps[order[k]] == step:
+                X[order[k]] = x[:, :n_part]
+                k += 1
+            yield step, (), X, zs[:, :n_part]
+
+    X, z = _step_in_parts(part, plans, len(z),
+                          [(len(rec_steps), component.n), (len(z),)])
+    return (rec_steps * h, np.ascontiguousarray(X.transpose(0, 2, 1)),
+            _by_trajectory(component, z).copy())
 
 
 def volterra_weights(k_b, k_s, h, m):

@@ -6,7 +6,10 @@ same-distribution bootstrap noise floors (noise_floor) rather than analytic
 rates.  ergodic_decay needs no floor: its two ensembles share their noise,
 and its rate's error is the batch-means error over the lane blocks.  The
 coupling verdicts (coupling.contraction_report) are relative to the
-exp(-kappa t / 2) envelope.
+exp(-kappa t / 2) envelope.  Each ensemble runs as one batch of
+dynamics.simulate_lifted_ensemble, which steps a large one in two
+processes with the bits of one; the diagnostics run on the calling
+thread.
 """
 
 from __future__ import annotations

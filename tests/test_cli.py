@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,30 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "results.csv").read_bytes() == \
         (out2 / "results.csv").read_bytes()
     assert (out1 / "path.csv").read_bytes() == (out2 / "path.csv").read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_k(tmp_path):
+    # path.csv holds X alone, so a run keeps no (M+1, k, n) states: a
+    # 2000-step path of k atoms (no quadrature) peaks no higher at k = 64
+    # than at k = 8, give or take the formatting of its rows; the states
+    # alone would take 1 MB at k = 64
+    def peak(k):
+        doc = simulate_config(tmp_path / f"o{k}")
+        terms = [{"rate": rate, "Mb": [[1.0 / k]], "Ms": [[1.0 / k]]}
+                 for rate in np.geomspace(0.5, 50.0, k)]
+        doc.update(basis={"kind": "expsum", "terms": terms},
+                   discretization={"k": k, "theta_max": 100.0},
+                   scheme={"h": 0.01, "T": 20.0})
+        cfg = write_config(tmp_path, f"k{k}.json", doc)
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # a first run also makes what every later one reuses
+    assert peak(64) <= 1.2 * peak(8)
 
 
 def test_truncate_reaches_the_coefficients(tmp_path):
@@ -331,12 +356,17 @@ TANH = {"preset": "tanh", "scale": 0.1, "sigma0": 1.0}
     ("coupling", {"coupling": {"m": 4.0}, "coefficients": {
         "preset": "linear", "beta": 1e300}},
      "coefficients: the coupling constants overflow", 0, 2),
+    # an ergodic run compares two samples, and a kernel_error run of no
+    # time would pass over no row
+    ("ergodic", {"rng": {"seed": 3, "trajectories": 1}}, "rng.trajectories",
+     2, 2),
+    ("kernel_error", {"t_grid": []}, "t_grid", 2, 2),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, experiment,
                                              patch, key, validate_rc, run_rc):
     doc = simulate_config(tmp_path / "o")
-    doc.update(experiment=experiment, **patch)
     doc["rng"]["trajectories"] = 4
+    doc.update(experiment=experiment, **patch)
     cfg = write_config(tmp_path, "cfg.json", doc)
     for command, rc in (("validate", validate_rc), ("run", run_rc)):
         # an exception escaping main, a traceback on the command line, fails
@@ -436,7 +466,8 @@ def test_run_meta_records_memory_and_versions(tmp_path):
     assert meta["versions"] == {"python": platform.python_version(),
                                 "numpy": np.__version__}
     assert meta["ru_maxrss_kb"] > 0
-    if len(os.sched_getaffinity(0)) > 1:  # the pair forks
+    # the pair forks where sched_getaffinity shows two CPUs (not on macOS)
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1:
         assert 0 < meta["children_ru_maxrss_kb"]
     else:
         assert meta["children_ru_maxrss_kb"] == 0
@@ -585,12 +616,13 @@ def test_run_path_loads_no_scipy(tmp_path):
 
 def _limit_address_space():
     # 2 GiB holds the interpreter and numpy, but not the records of 10**9
-    # steps: simulate's states, 14.9 GiB, or the coupled pair's mean and
-    # stderr, 7.45 GiB
+    # steps: simulate's record times and observables, or the coupled
+    # pair's mean and stderr, 7.45 GiB each
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
 
-@pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
+@pytest.mark.skipif(resource is None or sys.platform != "linux",
+                    reason="needs RLIMIT_AS, which only Linux enforces")
 @pytest.mark.parametrize("name", ["simulate", "coupling"])
 def test_a_run_out_of_memory_exits_2(tmp_path, name):
     doc = json.loads((CONFIGS / f"{name}.json").read_text())

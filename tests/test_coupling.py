@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from voltlift.cli import _build_inputs, main, resolve_config
-from voltlift.coupling import (FORK_MIN_PART_ENTRIES, STAT_ROWS, _control,
-                               _coupled_step, _fork_row, _gap,
+from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
                                contraction_report, mean_stderr,
                                simulate_coupled_pair)
 from voltlift.discretize import build_component
-from voltlift.dynamics import (CoefficientModel, NoisePlan, _batch,
-                               _by_trajectory, _initial_states,
-                               _stacked_increments, make_plans, make_preset,
+from voltlift.dynamics import (FORK_MIN_PART_ENTRIES, CoefficientModel,
+                               NoisePlan, _batch, _by_trajectory, _fork_row,
+                               _initial_states, _stacked_increments,
+                               make_plans, make_preset,
                                simulate_lifted_ensemble, step_operators)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
@@ -339,9 +339,9 @@ def test_nan_in_an_interior_factor_aborts_naming_it(kind):
                                   z0, plans)
 
 
-def run_on_cpus(monkeypatch, cpus, *args):
-    """simulate_coupled_pair(*args) on a host of the given CPU count, and
-    the number of processes it forked."""
+def run_on_cpus(monkeypatch, cpus, integrate, *args):
+    """integrate(*args) on a host of the given CPU count, and the number of
+    processes it forked."""
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -349,14 +349,34 @@ def run_on_cpus(monkeypatch, cpus, *args):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    # raising=False: macOS has no sched_getaffinity to replace
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
+                        lambda pid: set(range(cpus)), raising=False)
     try:
-        return simulate_coupled_pair(*args), len(forks)
+        return integrate(*args), len(forks)
     finally:
         monkeypatch.undo()
 
 
+def run_integrator(integrator, comp, coeffs, table, lam, y1, y2, plans):
+    """The outputs by name of the coupled pair, or of the lifted ensemble
+    from y1 recorded at steps 0, 1, m // 2 and m."""
+    if integrator == "coupled":
+        return vars(simulate_coupled_pair(comp, coeffs, table, lam, y1, y2,
+                                          plans))
+    h, m = plans[0].h, plans[0].n_steps
+    times, X, z = simulate_lifted_ensemble(
+        comp, coeffs, y1, plans,
+        record_times=[s * h for s in sorted({0, min(1, m), m // 2, m})])
+    return dict(times=times, X=X, z_final=z)
+
+
+# Both integrators that fork; the coupled pair's cases keep their ids
+INTEGRATORS = pytest.mark.parametrize("integrator", [
+    pytest.param("coupled", id=pytest.HIDDEN_PARAM), "lifted"])
+
+
+@INTEGRATORS
 @pytest.mark.parametrize("kind,n_traj,first,m,forks", [
     ("frac", 512, 0, 3 * STAT_ROWS + 5, 1),
     ("frac", 1100, 0, 9 * STAT_ROWS + 6, 1),  # a partial last lane block
@@ -369,25 +389,26 @@ def run_on_cpus(monkeypatch, cpus, *args):
     ("frac", 600, 255, STAT_ROWS + 3, 1),  # split at row 257, not 1
 ])
 def test_two_processes_keep_the_one_process_bits(monkeypatch, kind, n_traj,
-                                                 first, m, forks):
+                                                 first, m, forks, integrator):
     comp, coeffs, table, lam, y1, y2, _ = pair_setup(kind)
     plans = make_plans(3, n_traj, 0.01, m * 0.01, d=coeffs.d,
                        first_index=first)
     assert n_traj * len(y1.reshape(-1)) >= 2 * FORK_MIN_PART_ENTRIES
-    args = (comp, coeffs, table, lam, y1, y2, plans)
-    one, no_forks = run_on_cpus(monkeypatch, 1, *args)
+    args = (integrator, comp, coeffs, table, lam, y1, y2, plans)
+    one, no_forks = run_on_cpus(monkeypatch, 1, run_integrator, *args)
     assert no_forks == 0
-    two, two_forks = run_on_cpus(monkeypatch, 2, *args)
+    two, two_forks = run_on_cpus(monkeypatch, 2, run_integrator, *args)
     assert two_forks == forks
-    assert len(two.mean_dist) == m + 1
-    for name in ("mean_dist", "stderr_dist", "energy", "y_final",
-                 "yh_final"):
-        np.testing.assert_array_equal(getattr(two, name), getattr(one, name),
-                                      name)
+    if integrator == "coupled":
+        assert len(two["mean_dist"]) == m + 1
+    assert two.keys() == one.keys()
+    for name in one:
+        np.testing.assert_array_equal(two[name], one[name], name)
 
 
 def test_fork_row_splits_at_the_lane_block_nearest_the_middle(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 16) == 1024
     assert _fork_row(make_plans(0, 1100, 0.1, 1.0), 16) == 512
     # indices 100, ...: blocks start at rows 156, 412, 668 and 924
@@ -409,13 +430,15 @@ def test_fork_row_splits_at_the_lane_block_nearest_the_middle(monkeypatch):
     assert _fork_row(make_plans(0, 3, 0.1, 1.0, first_index=255), 4096) \
         is None
     assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 1) is None  # too small
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
     assert _fork_row(make_plans(0, 2048, 0.1, 1.0), 16) is None
 
 
-def drift_failing(at, error=None):
-    """tanh(0.1)-like drift that makes trajectory j's uncontrolled copy NaN
-    at step at[j], or raises error at the first such step.  A process tells
+def drift_failing(at, error=None, per_step=2):
+    """tanh(0.1)-like drift, called per_step times a step, that makes
+    trajectory j's uncontrolled copy (the first call of a step) NaN at
+    step at[j], or raises error at the first such step.  A process tells
     its trajectories apart by their initial x, (j + 1) * sum(w)."""
     state = {"calls": 0}
 
@@ -425,7 +448,8 @@ def drift_failing(at, error=None):
         if state["calls"] == 1:
             state["ids"] = np.rint(x[:, 0] / state["w"]).astype(int) - 1
         out = -x + 0.1 * np.tanh(x)
-        step, uncontrolled = (state["calls"] + 1) // 2, state["calls"] % 2
+        step, call = divmod(state["calls"] - 1, per_step)
+        step, uncontrolled = step + 1, call == 0
         for row, j in enumerate(state["ids"]):
             if uncontrolled and at.get(j) == step:
                 if error is not None:
@@ -436,16 +460,19 @@ def drift_failing(at, error=None):
     return b, state
 
 
-def failing_pair(at, error=None):
+def failing_run(integrator, at, error=None):
+    """run_integrator's arguments: 1024 trajectories whose drift fails as
+    drift_failing says."""
     comp, coeffs, table, lam, _, _, _ = pair_setup("frac")
-    b, state = drift_failing(at, error)
+    b, state = drift_failing(at, error, 2 if integrator == "coupled" else 1)
     state["w"] = comp.w.sum()
     z0 = np.arange(1.0, 1025.0)[:, None, None] * np.ones((1024, 16, 1))
     plans = make_plans(2, 1024, 0.01, 0.6, d=1)
-    return (comp, replace(coeffs, b=b), table, lam, z0, np.zeros_like(z0),
-            plans)
+    return (integrator, comp, replace(coeffs, b=b), table, lam, z0,
+            np.zeros_like(z0), plans)
 
 
+@INTEGRATORS
 @pytest.mark.parametrize("at,step,j", [
     ({700: 20}, 20, 700),  # in the child's part
     ({100: 20}, 20, 100),  # in the caller's part
@@ -455,27 +482,30 @@ def failing_pair(at, error=None):
     ({100: 3, 700: 40}, 3, 100),  # the caller's earlier
 ])
 def test_a_non_finite_state_aborts_as_in_one_process(monkeypatch, at, step,
-                                                     j):
+                                                     j, integrator):
     threads = threading.active_count()
     errors = []
     for cpus in (1, 2):
         with pytest.raises(FloatingPointError) as err:
-            run_on_cpus(monkeypatch, cpus, *failing_pair(at))
+            run_on_cpus(monkeypatch, cpus, run_integrator,
+                        *failing_run(integrator, at))
         errors.append(str(err.value))
         assert threading.active_count() == threads
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert errors[0] == errors[1] == \
-        f"non-finite coupled state at step {step}, trajectory {j}"
+        f"non-finite {integrator} state at step {step}, trajectory {j}"
 
 
+@INTEGRATORS
 @pytest.mark.parametrize("where", ["caller", "child"])
-def test_an_error_in_either_part_leaves_no_process(monkeypatch, where):
+def test_an_error_in_either_part_leaves_no_process(monkeypatch, where,
+                                                   integrator):
     threads = threading.active_count()
     j = {"caller": 100, "child": 700}[where]
     with pytest.raises(KeyError, match=f"trajectory {j}"):
-        run_on_cpus(monkeypatch, 2, *failing_pair(
-            {j: 10}, KeyError(f"trajectory {j}")))
+        run_on_cpus(monkeypatch, 2, run_integrator, *failing_run(
+            integrator, {j: 10}, KeyError(f"trajectory {j}")))
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -495,19 +525,21 @@ class UnpicklableError(Exception):
         self.hook = lambda: None
 
 
+@INTEGRATORS
 @pytest.mark.parametrize("error", [
     TwoArgumentError(700, "drift failed"),
     UnpicklableError("trajectory 700: drift failed"),
 ])
 def test_a_child_error_that_does_not_pickle_keeps_its_step(monkeypatch,
-                                                          error):
+                                                          error, integrator):
     # the caller's part raises the same error at a later step: the child's,
     # at the lower step, is raised as a RuntimeError naming its type and text
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as err:
-        run_on_cpus(monkeypatch, 2, *failing_pair({700: 10, 100: 30}, error))
+        run_on_cpus(monkeypatch, 2, run_integrator, *failing_run(
+            integrator, {700: 10, 100: 30}, error))
     assert str(err.value) == (
-        f"{type(error).__qualname__} in the coupled pair's child process: "
+        f"{type(error).__qualname__} in the child process: "
         "trajectory 700: drift failed")
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):

@@ -2,8 +2,8 @@ import itertools
 import math
 import sys
 import threading
-import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift import dynamics
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
-                               WorkPair, _lane_blocks, _noise_term,
+                               _lane_blocks, _noise_term,
                                _stacked_increments, lifted_step,
                                make_plans, make_preset, preset_linear,
                                simulate_lifted, simulate_lifted_ensemble,
@@ -242,9 +242,8 @@ def test_held_rows_keep_their_values_across_blocks():
 
 
 def test_concurrent_noise_sources_keep_their_rows():
-    # four consumers, each with its own worker, on two cores, switching
-    # threads every microsecond: a block handed over too early or filled
-    # twice shows in the rows
+    # four consumers on two cores, switching threads every microsecond:
+    # a block or lane buffer shared between noise sources shows in the rows
     h = 0.1
     plans = make_plans(5, 300, h, 3.5 * NOISE_BLOCK_STEPS * h)
     want = np.stack([plans[j].increments() for j in (0, 299)], axis=1)
@@ -268,15 +267,6 @@ def test_concurrent_noise_sources_keep_their_rows():
     assert not any(t.is_alive() for t in threads)
     for rows in got:
         np.testing.assert_array_equal(rows, want)
-
-
-def test_closing_the_noise_joins_its_worker():
-    before = threading.active_count()
-    noise = _stacked_increments(make_plans(0, 4, 0.01, 10.0))
-    next(noise)
-    assert threading.active_count() == before + 1
-    noise.close()
-    assert threading.active_count() == before
 
 
 def _inf_at_call(k, row):
@@ -312,6 +302,37 @@ def test_abort_mid_run_leaves_no_thread(coupled):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("integrator", ["lifted", "ensemble", "coupled",
+                                        "volterra"])
+def test_no_integrator_starts_a_thread(integrator):
+    # the drift counts the threads at each of its calls, made while the
+    # integrator runs; 300 trajectories of one factor step in one process
+    seen = set()
+
+    def b(x):
+        seen.add(threading.active_count())
+        return -np.asarray(x, dtype=float)
+
+    basis = make_expsum_basis([(1.0, EYE, EYE)])
+    comp = build_component(basis, 1, 2.0)
+    coeffs = replace(make_preset("linear"), b=b)
+    plans = make_plans(0, 300, 0.01, 1.5)
+    z = np.zeros((1, 1))
+    before = threading.active_count()
+    if integrator == "lifted":
+        simulate_lifted(comp, coeffs, z, plans[0])
+    elif integrator == "ensemble":
+        simulate_lifted_ensemble(comp, coeffs, z, plans)
+    elif integrator == "coupled":
+        simulate_coupled_pair(comp, coeffs, build_custom(comp, [EYE]), 1.0,
+                              np.ones((1, 1)), z, plans)
+    else:
+        simulate_volterra_direct((basis.closed_forms["drift"],
+                                  basis.closed_forms["diffusion"]), coeffs,
+                                 lambda t: np.zeros(1), plans)
+    assert seen == {before}
+
+
 class _FailsOnSecondFill:
     """A lane block's generator that raises on its second fill."""
 
@@ -327,11 +348,10 @@ class _FailsOnSecondFill:
 
 @pytest.mark.parametrize("block", [0, 15])
 def test_a_failed_fill_leaves_no_thread(monkeypatch, block):
-    # 4096 trajectories, d = 1: 16 lane blocks, 60 steps a block.  Lane
+    # 4096 trajectories, d = 1: 16 lane blocks, 62 steps a block.  Lane
     # block `block` fails in the second step block; its error reaches the
-    # consumer after the first block's rows, and the worker is joined.
-    # The consumer is slow, so the worker claims the first lane block;
-    # either thread may claim the last
+    # consumer after the first block's rows, the first lane block's as
+    # the last's
     lane_blocks = dynamics._lane_blocks
 
     def failing(plans):
@@ -347,40 +367,8 @@ def test_a_failed_fill_leaves_no_thread(monkeypatch, block):
     with pytest.raises(ZeroDivisionError, match="second fill"):
         for _ in _stacked_increments(plans):
             rows += 1
-            time.sleep(1e-4)
-    assert rows == 60
+    assert rows == 62
     assert threading.active_count() == before
-
-
-def test_work_pair_runs_each_unit_once_in_its_slot():
-    # a unit run twice, skipped, or written to another unit's slot shows
-    # here; each thread writes through its own buffer
-    runs, out, ran_on = np.zeros(200, int), np.full(200, -1), set()
-
-    def run(j, buf):
-        runs[j] += 1
-        ran_on.add(threading.get_ident())
-        buf[0] = 3 * j
-        time.sleep(1e-4)
-        out[j] = buf[0]
-
-    def share():
-        with WorkPair([[None], [None]], run) as pair:
-            pair.submit(200)
-            pair.finish()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=share)
-        caller.start()
-        caller.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not caller.is_alive()
-    np.testing.assert_array_equal(runs, 1)
-    np.testing.assert_array_equal(out, 3 * np.arange(200))
-    assert len(ran_on) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
