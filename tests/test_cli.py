@@ -137,16 +137,16 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_simulate_memory_does_not_grow_with_k(tmp_path):
     # path.csv holds X alone, so a run keeps no (M+1, k, n) states: a
-    # 2000-step path of k atoms (no quadrature) peaks no higher at k = 64
-    # than at k = 8, give or take the formatting of its rows; the states
-    # alone would take 1 MB at k = 64
+    # 4000-step path of k atoms (no quadrature) peaks no higher at k = 64
+    # than at k = 8, give or take the step operators and the formatting of
+    # its rows; the states alone would take 2 MB at k = 64
     def peak(k):
         doc = simulate_config(tmp_path / f"o{k}")
         terms = [{"rate": rate, "Mb": [[1.0 / k]], "Ms": [[1.0 / k]]}
                  for rate in np.geomspace(0.5, 50.0, k)]
         doc.update(basis={"kind": "expsum", "terms": terms},
                    discretization={"k": k, "theta_max": 100.0},
-                   scheme={"h": 0.01, "T": 20.0})
+                   scheme={"h": 0.01, "T": 40.0})
         cfg = write_config(tmp_path, f"k{k}.json", doc)
         tracemalloc.start()
         try:
