@@ -282,7 +282,8 @@ def _json_null(value):
 
 def _run_meta():
     """The wall-clock time, the peak RSS of this process and of its reaped
-    children (a coupled pair's forked part among them), and versions."""
+    children (the forked part of a large ensemble or coupled pair among
+    them), and versions."""
     meta = {"wall_time": time.time(),
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__}}

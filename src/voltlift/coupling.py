@@ -118,8 +118,7 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
         done = slice(STAT_ROWS * b, STAT_ROWS * b + len(rows))
         mean[done], stderr[done] = mean_stderr(rows[:, :n_traj])
 
-    energy, y_end, yh_end = _step_in_parts(part, plans, len(y),
-                                           [(), (len(y),), (len(y),)], block)
+    energy, y_end, yh_end = _step_in_parts(part, plans, len(y), block)
     return CoupledRun(times=np.arange(m + 1) * h, mean_dist=mean,
                       stderr_dist=stderr, energy=energy,
                       y_final=_by_trajectory(component, y_end)[:n_traj].copy(),

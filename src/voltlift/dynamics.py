@@ -7,13 +7,13 @@ source, ``_stacked_increments``, which draws counter-based streams, one per
 block of NOISE_LANES trajectories, so that paths can be cross-validated on
 identical noise.  voltlift starts no thread: a large lifted ensemble or
 coupled pair steps its later lane blocks in one forked child process
-(``_step_in_parts``), with the bits of one process.
+(``_step_in_parts``), which sends its rows back as pickles down one pipe,
+with the bits of one process.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -39,8 +39,9 @@ STAT_ROWS = 16
 # that both processes make outweigh the arithmetic a part takes off the
 # other (README, "The second process")
 FORK_MIN_PART_ENTRIES = 2048
-# blocks of STAT_ROWS steps a coupled pair's child may run ahead
-RING_BLOCKS = 8
+# bytes a forked part's pipe holds: Linux's default pipe-max-size, 8
+# blocks of the distances of a coupled pair's 1024-trajectory child
+PIPE_BYTES = 2 ** 20
 
 
 def keyed_generator(seed, stream):
@@ -320,55 +321,49 @@ def _fork_row(plans, size):
 
 
 def _pickled_error(step, exc):
-    """(step, exc) pickled, if it loads again: an error whose constructor
-    takes other arguments than its args, or that holds an object pickle
-    cannot write, goes as a RuntimeError naming its type and text."""
+    """The message ("e", step, exc) pickled, if it loads again: an error
+    whose constructor takes other arguments than its args, or that holds an
+    object pickle cannot write, goes as a RuntimeError naming its type and
+    text."""
     try:
-        data = pickle.dumps((step, exc))
+        data = pickle.dumps(("e", step, exc))
         pickle.loads(data)
         return data
     except Exception:
-        return pickle.dumps((step, RuntimeError(
+        return pickle.dumps(("e", step, RuntimeError(
             f"{type(exc).__qualname__} in the child process: {exc}")))
 
 
 class _ForkedPart:
     """The steps of the last rows of a batch, run in a child process made
     by os.fork() (README, "The second process").  steps yields (step, row,
-    *last) at step 0 and after every step.  After each block of STAT_ROWS
-    steps the child sends one byte.  With a ring (ring entries a row) it
-    first writes the block's rows to slot b % RING_BLOCKS of a ring in
-    shared anonymous memory; the caller copies them out and, if the child
-    has a block still to write there, sends a byte back that frees the
-    slot.  At the end the child writes its last arrays (finals: their
-    shapes) after the ring and sends b"d"; on an error it sends b"e" and
-    the pickled (step, error).  Leaving the with block kills the child if
-    it still runs and reaps it."""
+    *last) at step 0 and after every step.  The child sends each message as
+    one pickle down a pipe of PIPE_BYTES (the kernel's default size where
+    it refuses that): ("b", rows) after each block of STAT_ROWS steps and
+    for the last block, ("d", last) at the end, ("e", step, error) on an
+    error.  A full pipe holds the child back; one whose reader has gone
+    fails its write, and the child exits.  Leaving the with block kills
+    the child if it still runs and reaps it."""
 
-    def __init__(self, steps, m, ring, finals):
-        self.last, self.blocks, self.error = m // STAT_ROWS, 0, None
-        sizes = [RING_BLOCKS * STAT_ROWS * ring] + [math.prod(s)
-                                                    for s in finals]
-        # the ring, then the last arrays; unmapped with the last view of it
-        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
-        slots, *results = np.split(shared, np.cumsum(sizes)[:-1])
-        self.ring = slots.reshape(RING_BLOCKS, STAT_ROWS, ring)
-        self.results = [a.reshape(s) for a, s in zip(results, finals)]
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+    def __init__(self, steps):
+        import fcntl  # here, not above: Windows has none and never forks
+        self.blocks, self.error = 0, None
+        read, write = os.pipe()
+        try:
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:  # above the host's pipe-max-size
+            pass
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
+            os.close(read)
+            os.close(write)
             raise
         if self.pid == 0:
-            os.close(ready_r)
-            os.close(free_w)
-            self._serve(steps, ready_w, free_r)
-        os.close(ready_w)
-        os.close(free_r)
-        self.ready, self.free = open(ready_r, "rb"), free_w
+            os.close(read)
+            self._serve(steps, write)
+        os.close(write)
+        self.pipe = open(read, "rb")
 
     def __enter__(self):
         return self
@@ -376,64 +371,60 @@ class _ForkedPart:
     def __exit__(self, *exc):
         os.kill(self.pid, signal.SIGKILL)  # a child that has exited ignores it
         os.waitpid(self.pid, 0)
-        self.ready.close()
-        os.close(self.free)
+        self.pipe.close()
 
-    def _serve(self, steps, ready, free):
-        """The child's side: step, write and send, then end the process."""
+    def _serve(self, steps, write):
+        """The child's side: step and send, then end the process."""
         step = -1
         try:
-            with open(ready, "wb") as out:
+            with open(write, "wb") as out:
+                def send(*message):
+                    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+
                 try:
+                    rows = []
                     for step, row, *last in steps:
-                        b, r = divmod(step, STAT_ROWS)
-                        if r == 0 and step:
-                            out.write(b"b")
-                            out.flush()
-                            if (self.ring.size and b >= RING_BLOCKS
-                                    and not os.read(free, 1)):
-                                return  # the caller has gone
-                        self.ring[b % RING_BLOCKS, r] = row
-                    for dst, src in zip(self.results, last):
-                        dst[...] = src
-                    out.write(b"bd")
+                        if len(rows) == STAT_ROWS:
+                            send("b", np.array(rows))
+                            rows = []
+                        rows.append(row)
+                    send("b", np.array(rows))
+                    send("d", last)
                 except BaseException as exc:
-                    out.write(b"e" + _pickled_error(step + 1, exc))
+                    out.write(_pickled_error(step + 1, exc))
         finally:
             os._exit(0)
 
     def _next(self):
-        """Read the child's next message: count a block, or keep its error
-        (one that ends it without a message comes after every step)."""
-        kind = self.ready.read(1)
-        if kind == b"b":
+        """Read the child's next message, (kind, body): count a block, or
+        keep its error as (step, error) (one that ends it without a message
+        comes after every step)."""
+        try:
+            kind, *body = pickle.load(self.pipe)
+        except Exception as exc:  # no message, or one cut short
+            kind, body = "e", (math.inf, RuntimeError(
+                f"child process {self.pid} ended without a result: {exc!r}"))
+        if kind == "b":
             self.blocks += 1
-        elif kind == b"e":
-            try:
-                self.error = pickle.loads(self.ready.read())
-            except Exception as exc:  # a message cut short
-                self.error = (math.inf, RuntimeError(
-                    f"child process {self.pid} sent an unreadable error: "
-                    f"{exc!r}"))
-        elif kind != b"d":
-            self.error = (math.inf, RuntimeError(
-                f"child process {self.pid} ended without a result"))
-        return kind
+        elif kind == "e":
+            self.error = tuple(body)
+        return kind, body[0]
 
-    def fill(self, b, rows):
-        """Wait for the child's block b: copy its first len(rows) ring rows
-        into rows and free its slot, or raise what the child raised."""
-        if self._next() != b"b":
+    def fill(self, rows):
+        """Wait for the child's next block and copy its rows into rows, or
+        raise what the child raised."""
+        kind, body = self._next()
+        if kind != "b":
             raise self.error[1]
-        rows[...] = self.ring[b % RING_BLOCKS, :len(rows)]
-        if self.ring.size and b + RING_BLOCKS <= self.last:
-            os.write(self.free, b"f")
+        rows[...] = body
 
     def finals(self):
         """The child's last arrays."""
-        if self._next() != b"d":
+        kind, body = self._next()
+        if kind != "d":
             raise self.error[1]
-        return [view.copy() for view in self.results]
+        return body
 
     def raise_first(self, at):
         """The caller failed at step at: raise the child's error if it came
@@ -445,26 +436,22 @@ class _ForkedPart:
             raise self.error[1] from None
 
 
-def _step_in_parts(part, plans, size, finals, block=None):
+def _step_in_parts(part, plans, size, block=None):
     """Step a batch of plans with size state entries a trajectory, in two
-    processes where _fork_row splits it.  part(rows)
-    steps plans[rows] and yields (step, row, *last) at step 0 and after
-    every step; the child steps the rows from the split on, and the
-    calling process the rest.  block(b, rows), if given, gets the rows of
-    steps STAT_ROWS * b, ... from both parts, a column per row of the
-    _batch of plans.  Returns each last array of both parts (finals: their
-    leading shapes) joined on its last, trajectory, axis."""
+    processes where _fork_row splits it.  part(rows) steps plans[rows] and
+    yields (step, row, *last) at step 0 and after every step; the child
+    steps the rows from the split on, and the calling process the rest.
+    block(b, rows), if given, gets the rows of steps STAT_ROWS * b, ...
+    from both parts, a column per row of the _batch of plans.  Returns each
+    last array of both parts joined on its last, trajectory, axis."""
     split = _fork_row(plans, size)
     own = slice(split)  # the calling process's rows, all without a child
     rows = np.empty((STAT_ROWS, len(_batch(plans)) if block else 0))
-    child = None if split is None else _ForkedPart(
-        part(slice(split, None)), plans[0].n_steps,
-        len(plans) - split if block else 0,
-        [s + (len(plans) - split,) for s in finals])
+    child = None if split is None else _ForkedPart(part(slice(split, None)))
 
     def flush(b, k):  # rows[:k] hold steps STAT_ROWS * b, ..., + k - 1
         if child:
-            child.fill(b, rows[:k, split:])
+            child.fill(rows[:k, split:])
         if block:
             block(b, rows[:k])
 
@@ -525,8 +512,7 @@ def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
                 k += 1
             yield step, (), X, zs[:, :n_part]
 
-    X, z = _step_in_parts(part, plans, len(z),
-                          [(len(rec_steps), component.n), (len(z),)])
+    X, z = _step_in_parts(part, plans, len(z))
     return (rec_steps * h, np.ascontiguousarray(X.transpose(0, 2, 1)),
             _by_trajectory(component, z).copy())
 

@@ -1,6 +1,9 @@
+import itertools
 import json
 import os
+import signal
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voltlift import dynamics
 from voltlift.cli import _build_inputs, main, resolve_config
 from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
                                contraction_report, mean_stderr,
@@ -15,8 +19,8 @@ from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
 from voltlift.discretize import build_component
 from voltlift.dynamics import (FORK_MIN_PART_ENTRIES, CoefficientModel,
                                NoisePlan, _batch, _by_trajectory, _fork_row,
-                               _initial_states, _stacked_increments,
-                               make_plans, make_preset,
+                               _ForkedPart, _initial_states,
+                               _stacked_increments, make_plans, make_preset,
                                simulate_lifted_ensemble, step_operators)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
@@ -266,6 +270,18 @@ def per_step_pair(comp, coeffs, table, lam, y1, y2, plans):
 
 def pair_setup(kind):
     """(component, coefficients, table, lam, y1, y2, plan count)."""
+    if kind.startswith("held"):
+        # frac with a drift that sleeps in this process alone, which holds
+        # the caller back while a forked child runs ahead
+        comp, coeffs, *rest = pair_setup("frac")
+        caller, b = os.getpid(), coeffs.b
+
+        def held(x):
+            if os.getpid() == caller:
+                time.sleep(2e-4)
+            return b(x)
+
+        return (comp, replace(coeffs, b=held), *rest)
     if kind == "two_dim":
         mb, ms = np.array([[1.0, 0.2], [0.0, 1.0]]), np.array([[1.0, 0.3],
                                                                [0.3, 1.0]])
@@ -387,6 +403,11 @@ INTEGRATORS = pytest.mark.parametrize("integrator", [
     ("frac", 257, 0, STAT_ROWS + 3, 0),
     ("frac", 258, 255, STAT_ROWS + 3, 0),
     ("frac", 600, 255, STAT_ROWS + 3, 1),  # split at row 257, not 1
+    # a child held up on a full pipe: the pair's child sends 40 blocks of
+    # 128 KiB, 5 times the pipe; the ensemble's final arrays outgrow the
+    # one-page pipe of held_4k
+    ("held", 2048, 0, 40 * STAT_ROWS, 1),
+    ("held_4k", 2048, 0, 40 * STAT_ROWS, 1),
 ])
 def test_two_processes_keep_the_one_process_bits(monkeypatch, kind, n_traj,
                                                  first, m, forks, integrator):
@@ -397,6 +418,8 @@ def test_two_processes_keep_the_one_process_bits(monkeypatch, kind, n_traj,
     args = (integrator, comp, coeffs, table, lam, y1, y2, plans)
     one, no_forks = run_on_cpus(monkeypatch, 1, run_integrator, *args)
     assert no_forks == 0
+    if kind == "held_4k":  # below the default that a refused size leaves
+        monkeypatch.setattr(dynamics, "PIPE_BYTES", 4096)
     two, two_forks = run_on_cpus(monkeypatch, 2, run_integrator, *args)
     assert two_forks == forks
     if integrator == "coupled":
@@ -544,3 +567,33 @@ def test_a_child_error_that_does_not_pickle_keeps_its_step(monkeypatch,
     assert threading.active_count() == threads
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="batches fork only where sched_getaffinity is")
+def test_a_child_whose_caller_has_gone_exits_by_itself():
+    # an endless child: once the caller's end of the pipe is closed, its
+    # next write fails and it ends with os._exit(0), not by SIGKILL
+    def endless():
+        for step in itertools.count():
+            yield step, np.full(4, float(step))
+
+    part, status = _ForkedPart(endless()), None
+    try:
+        rows = np.empty((STAT_ROWS, 4))
+        part.fill(rows)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(STAT_ROWS))
+        part.pipe.close()
+        deadline = time.monotonic() + 10.0
+        while status is None:
+            pid, code = os.waitpid(part.pid, os.WNOHANG)
+            if pid:
+                status = code
+            else:
+                assert time.monotonic() < deadline, "the child still runs"
+                time.sleep(1e-3)
+    finally:
+        if status is None:
+            os.kill(part.pid, signal.SIGKILL)
+            os.waitpid(part.pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status

@@ -223,14 +223,14 @@ def test_noise_memory_bounded_in_batch():
     assert _noise_peak(make_plans(0, 4096, 0.01, 4.0, d=2)) \
         <= 1.01 * 2 ** 19 * 8
     # a 1024-trajectory, d = 1 batch (one process's part of coupling_frac)
-    # draws blocks of at most 64 steps: two blocks of its rows and two
-    # lane buffers
+    # draws blocks of at most 64 steps: two blocks of its rows and one
+    # lane buffer
     assert _noise_peak(make_plans(0, 1024, 0.01, 4.0)) \
-        <= 1.01 * 2 * 64 * (1024 + 256) * 8
+        <= 1.01 * (2 * 64 * 1024 + 64 * 256) * 8
 
 
 def test_held_rows_keep_their_values_across_blocks():
-    # a 4096-trajectory, d = 2 batch draws 30 steps a block; holding every
+    # a 4096-trajectory, d = 2 batch draws 31 steps a block; holding every
     # row of 5 blocks shows any block overwritten while a consumer still
     # holds it, in the first and the last lane block
     h = 0.01
