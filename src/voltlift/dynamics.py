@@ -114,23 +114,23 @@ class NoisePlan:
         return lanes[:, lane] * math.sqrt(self.h)
 
 
-def _consecutive(idx):
-    """idx as a slice when it runs up by one, so that it indexes a view."""
-    idx = np.asarray(idx)
-    if np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
-        return slice(int(idx[0]), int(idx[0]) + len(idx))
-    return idx
-
-
 def _lane_blocks(plans):
-    """Per lane block of the plans: its generator, the batch rows it fills
-    and their lanes, each a slice where it can be."""
-    rows = {}
+    """Per lane block of the plans: its generator, keyed once, and the runs
+    of batch rows it fills, each (rows, lanes) as two slices of one length
+    where both run up by one: a run is one slice copy, where a gather of a
+    block's lanes would cost as much as their draw."""
+    runs = {}
     for row, p in enumerate(plans):
         block, lane = divmod(p.trajectory_index, NOISE_LANES)
-        rows.setdefault((p.seed, block), []).append((row, lane))
-    return [(keyed_generator(*key), *map(_consecutive, zip(*members)))
-            for key, members in rows.items()]
+        own = runs.setdefault((p.seed, block), [])
+        if own and own[-1][0] + own[-1][2] == row \
+                and own[-1][1] + own[-1][2] == lane:
+            own[-1][2] += 1
+        else:
+            own.append([row, lane, 1])  # first row, first lane, length
+    return [(keyed_generator(*key),
+             [(slice(r, r + k), slice(l, l + k)) for r, l, k in own])
+            for key, own in runs.items()]
 
 
 def _check_plans(plans):
@@ -164,11 +164,12 @@ def _stacked_increments(plans):
     for start in range(0, m, steps):
         # step-major and C-ordered, so each step's rows are contiguous
         out = np.empty((min(steps, m - start), len(plans), d))
-        for gen, dst, src in blocks:
+        for gen, runs in blocks:
             drawn = lanes[:len(out)]
             gen.standard_normal(out=drawn)
             drawn *= scale
-            out[:, dst] = drawn[:, src]
+            for dst, src in runs:
+                out[:, dst] = drawn[:, src]
         yield from out
 
 
@@ -314,9 +315,12 @@ def _fork_row(plans, size):
             or len(os.sched_getaffinity(0)) < 2):
         return None
     least = max(2, -(-FORK_MIN_PART_ENTRIES // size))  # rows of a part
-    blocks = [(p.seed, p.trajectory_index // NOISE_LANES) for p in plans]
-    starts = [r for r in range(least, len(plans) - least + 1)
-              if blocks[r] != blocks[r - 1]]
+
+    def block(p):
+        return p.seed, p.trajectory_index // NOISE_LANES
+
+    starts = (r for r in range(least, len(plans) - least + 1)
+              if block(plans[r]) != block(plans[r - 1]))
     return min(starts, key=lambda r: abs(2 * r - len(plans)), default=None)
 
 

@@ -6,10 +6,10 @@ same-distribution bootstrap noise floors (noise_floor) rather than analytic
 rates.  ergodic_decay needs no floor: its two ensembles share their noise,
 and its rate's error is the batch-means error over the lane blocks.  The
 coupling verdicts (coupling.contraction_report) are relative to the
-exp(-kappa t / 2) envelope.  Each ensemble runs as one batch of
-dynamics.simulate_lifted_ensemble, which steps a large one in two
-processes with the bits of one; the diagnostics run on the calling
-thread.
+exp(-kappa t / 2) envelope.  Each ensemble, and ergodic_decay's two
+together, runs as one batch of dynamics.simulate_lifted_ensemble, which
+steps a large one in two processes with the bits of one; the diagnostics
+run on the calling thread.
 """
 
 from __future__ import annotations
@@ -135,13 +135,15 @@ class DecayFit:
 
 
 def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2):
-    """W1(t) between the X-marginals of two ensembles started at y1, y2 on
-    common noise (both run trajectories 0, ..., n_traj - 1 of seed: the
-    synchronous coupling), with a log-linear decay fit.  Both are at the
-    simulated times: each of times rounded to a step.  Each full lane block
-    of NOISE_LANES trajectories has a stream of its own, so its fitted rate
-    is an independent replicate; the rate's standard error is the
-    batch-means error over the finite ones, NaN with fewer than two."""
+    """W1(t) between the X-marginals of two ensembles started at the states
+    y1, y2 on common noise (both run trajectories 0, ..., n_traj - 1 of
+    seed: the synchronous coupling), with a log-linear decay fit.  Both
+    step as one batch, so a non-finite state aborts at the earliest step of
+    either, and both are at the simulated times: each of times rounded to
+    a step.  Each full lane block of NOISE_LANES trajectories has a stream
+    of its own, so its fitted rate is an independent replicate; the rate's
+    standard error is the batch-means error over the finite ones, NaN with
+    fewer than two."""
     if n_traj < 2:
         raise ValueError("need at least two trajectories")
     if component.source is not None:
@@ -150,10 +152,18 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2):
             import warnings
             warnings.warn("Lyapunov sufficiency check failed; the decay fit "
                           "may not stabilize", stacklevel=2)
-    T = max(times)
-    sim_times, ens1 = run_ensemble(component, coeffs, y1, seed, n_traj, h,
-                                   T, times)
-    _, ens2 = run_ensemble(component, coeffs, y2, seed, n_traj, h, T, times)
+    plans = make_plans(seed, n_traj, h, max(times), d=coeffs.d)
+    # one batch, lane block by lane block: a block's trajectories from y1,
+    # then the same from y2, so each block is drawn once for both and a
+    # fork splits the batch between blocks
+    starts = range(0, n_traj, NOISE_LANES)
+    copy = np.concatenate([np.repeat([0, 1], min(NOISE_LANES, n_traj - j))
+                           for j in starts])
+    sim_times, X, _ = simulate_lifted_ensemble(
+        component, coeffs, np.stack([np.ravel(y1), np.ravel(y2)])[copy],
+        [p for j in starts for p in plans[j:j + NOISE_LANES] * 2],
+        record_times=times)
+    ens1, ens2 = X[:, copy == 0], X[:, copy == 1]
 
     def w1_of(lanes):
         return np.array([sliced_w1(sa[lanes], sb[lanes], seed=seed)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -208,14 +209,38 @@ def test_seed_override_out_of_range_exits_2(tmp_path, capsys):
                  f"--seed-override={2 ** 64 - 1}"]) == 0
 
 
-def test_numerical_abort_exit_code(tmp_path, capsys):
-    doc = simulate_config(tmp_path / "o")
+def boom_config(out_dir):
+    doc = simulate_config(out_dir)
     # strongly expansive drift with a coarse step overflows in finite time
     doc["coefficients"] = {"preset": "linear", "beta": -50.0, "sigma0": 1.0}
     doc["scheme"] = {"h": 0.5, "T": 200.0}
-    cfg = write_config(tmp_path, "boom.json", doc)
+    return doc
+
+
+def test_numerical_abort_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, "boom.json", boom_config(tmp_path / "o"))
     assert main(["run", "--config", cfg]) == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial,where", [
+    ({"y1": 1.0, "y2": 0.0}, r"at step \d+, trajectory \d+$"),
+    # both copies step as one batch, so the earliest step of either aborts:
+    # the copy from 1e300 overflows at step 7, where the copy from 0 alone
+    # runs to step 237, and its first row is trajectory 0's
+    ({"y1": 0.0, "y2": 1e300}, r"at step 7, trajectory 0$"),
+], ids=["from_1_and_0", "from_0_and_1e300"])
+def test_an_ergodic_abort_names_step_and_trajectory(tmp_path, capsys,
+                                                     initial, where):
+    doc = boom_config(tmp_path / "o")
+    doc.update(experiment="ergodic", initial=initial, t_grid=[100.0, 200.0])
+    doc["rng"]["trajectories"] = 16
+    cfg = write_config(tmp_path, "boom.json", doc)
+    with pytest.warns(UserWarning, match="Lyapunov"):
+        assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical abort: non-finite lifted state"), err
+    assert re.search(where, err), err
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift import dynamics
-from voltlift.dynamics import (NOISE_BLOCK_STEPS, CoefficientModel, NoisePlan,
+from voltlift.dynamics import (NOISE_BLOCK_STEPS, NOISE_LANES,
+                               CoefficientModel, NoisePlan,
                                _lane_blocks, _noise_term,
                                _stacked_increments, lifted_step,
                                make_plans, make_preset, preset_linear,
@@ -198,6 +199,30 @@ def test_stacked_noise_takes_each_plans_lane_in_any_order():
         rows, np.stack([p.increments() for p in plans], axis=1))
 
 
+def lane_blocks_twice(plans):
+    """plans of trajectories 0, 1, ... twice, lane block by lane block (a
+    block's plans, then the same again), as ergodic_decay batches its two
+    copies."""
+    return [p for j in range(0, len(plans), NOISE_LANES)
+            for p in plans[j:j + NOISE_LANES] * 2]
+
+
+def test_stacked_noise_of_each_lane_twice():
+    # 600 trajectories, the last lane block partial: each row is its plan's
+    # lane, and each block is keyed once and copied in two slices
+    h = 0.1
+    plans = lane_blocks_twice(make_plans(6, 600, h, 1.5 * NOISE_BLOCK_STEPS
+                                         * h, d=2))
+    rows = np.stack(list(_stacked_increments(plans)))
+    np.testing.assert_array_equal(
+        rows, np.stack([p.increments() for p in plans], axis=1))
+    blocks = _lane_blocks(plans)
+    assert len(blocks) == 3
+    for _, runs in blocks:
+        assert len(runs) == 2
+        assert all(isinstance(i, slice) for run in runs for i in run)
+
+
 def _noise_peak(plans):
     """Peak bytes the noise source holds while a consumer walks its rows,
     besides the lane blocks' generators."""
@@ -227,6 +252,11 @@ def test_noise_memory_bounded_in_batch():
     # lane buffer
     assert _noise_peak(make_plans(0, 1024, 0.01, 4.0)) \
         <= 1.01 * (2 * 64 * 1024 + 64 * 256) * 8
+    # both copies of the ergodic_2d ensembles in one batch of 8192 rows,
+    # each lane twice
+    assert _noise_peak(lane_blocks_twice(make_plans(0, 4096, 0.01, 4.0,
+                                                    d=2))) \
+        <= 1.01 * 2 ** 19 * 8
 
 
 def test_held_rows_keep_their_values_across_blocks():
@@ -356,8 +386,8 @@ def test_a_failed_fill_leaves_no_thread(monkeypatch, block):
 
     def failing(plans):
         blocks = lane_blocks(plans)
-        gen, dst, src = blocks[block]
-        blocks[block] = (_FailsOnSecondFill(gen), dst, src)
+        gen, runs = blocks[block]
+        blocks[block] = (_FailsOnSecondFill(gen), runs)
         return blocks
 
     monkeypatch.setattr(dynamics, "_lane_blocks", failing)

@@ -1,3 +1,4 @@
+import os
 import re
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from voltlift import ergodics
+from voltlift import dynamics, ergodics
 from voltlift.discretize import build_component
 from voltlift.dynamics import (DIAGNOSTIC_STREAM, NoisePlan, keyed_generator,
                                make_preset, simulate_lifted)
@@ -360,6 +361,49 @@ def test_ergodic_decay_stderr_is_the_lane_block_batch_means(n, n_traj):
     np.testing.assert_array_equal(
         fit.r_stderr, _lane_block_stderr_one_loop(ens1, ens2, sim, 3))
     assert np.isnan(fit.r_stderr) == (n_traj < 512)
+
+
+@pytest.mark.parametrize("cpus", [
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"),
+        reason="batches fork only where sched_getaffinity is"))])
+def test_ergodic_decay_forked_batch_keeps_the_two_ensembles_bits(
+        monkeypatch, cpus):
+    # n = 2, 1024 trajectories: the batch of both copies holds 4096 state
+    # entries, which two CPUs split into two parts of 2048; two run_ensemble
+    # calls of 2048 entries each step in one process
+    times = [0.1, 0.2, 0.4]
+    y1, y2 = np.ones((1, 2)), np.zeros((1, 2))
+    comp, coeffs, sim, ens1, ens2 = _ensembles(2, y1, y2, 1024, times)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    fit = ergodic_decay(comp, coeffs, y1, y2, 1024, times, seed=3, h=0.05)
+    assert len(forks) == cpus - 1
+    w1 = [_sliced_w1_one_thread(a, b, 3) for a, b in zip(ens1, ens2)]
+    np.testing.assert_array_equal(fit.w1, w1)
+    assert fit.r_hat == decay_rate(sim, np.array(w1))[0]
+    np.testing.assert_array_equal(
+        fit.r_stderr, _lane_block_stderr_one_loop(ens1, ens2, sim, 3))
+
+
+def test_ergodic_decay_keys_each_lane_block_once(monkeypatch):
+    # 600 trajectories in lane blocks 0, 1 and 2 (the last partial): both
+    # copies share one generator per block
+    keys = []
+
+    def counted(seed, stream):
+        keys.append((seed, stream))
+        return keyed_generator(seed, stream)
+
+    monkeypatch.setattr(dynamics, "keyed_generator", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    comp, coeffs = ou_setup()
+    ergodic_decay(comp, coeffs, np.ones((1, 1)), np.zeros((1, 1)), 600,
+                  [0.1, 0.2], seed=5, h=0.05)
+    assert keys == [(5, 0), (5, 1), (5, 2)]
 
 
 def test_ergodic_decay_rate_agrees_with_the_coupled_distance():
