@@ -7,8 +7,8 @@ from .kernelbasis import (DIFFUSION, DRIFT, LiftingBasis, basis_from_json,
                           make_expsum_basis, make_tempered_fractional_basis)
 from .discretize import (ApproximatingComponent, build_component, epsilon_k,
                          reconstructed_kernel)
-from .dynamics import (CoefficientModel, NoisePlan, make_plans, make_preset,
-                       simulate_lifted, simulate_lifted_ensemble,
+from .dynamics import (CoefficientModel, NoiseBatch, NoisePlan, make_plans,
+                       make_preset, simulate_lifted, simulate_lifted_ensemble,
                        simulate_volterra_direct, truncate_coefficients,
                        volterra_weights)
 from .weights import (CouplingConstants, WeightTable, build_custom,

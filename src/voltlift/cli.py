@@ -30,8 +30,8 @@ except ImportError:  # not on Windows
 from . import coupling as cpl
 from . import ergodics as erg
 from .discretize import build_component, reconstructed_kernel
-from .dynamics import (PRESETS, NoisePlan, make_plans,
-                       simulate_lifted_ensemble, truncate_coefficients)
+from .dynamics import (PRESETS, make_plans, simulate_lifted_ensemble,
+                       truncate_coefficients)
 from .kernelbasis import (DIFFUSION, DRIFT, basis_from_json, eval_kernel,
                           inf_support, make_expsum_basis,
                           make_tempered_fractional_basis)
@@ -348,11 +348,11 @@ def _kernel_error(cfg, basis, coeffs, out_dir):
 def _simulate(cfg, basis, coeffs, out_dir):
     component = _component(cfg, basis)
     h, T = cfg["scheme"]["h"], cfg["scheme"]["T"]
-    plan = NoisePlan(cfg["rng"]["seed"], 0, h, T, d=coeffs.d)
+    plans = make_plans(cfg["rng"]["seed"], 1, h, T, d=coeffs.d)
     # X at every step, and no state but the last: path.csv holds only X
     times, X, _ = simulate_lifted_ensemble(
-        component, coeffs, _initial(cfg, component)[0], [plan],
-        record_times=np.arange(plan.n_steps + 1) * h)
+        component, coeffs, _initial(cfg, component)[0], plans,
+        record_times=np.arange(plans.n_steps + 1) * h)
     _write_rows(out_dir / "path.csv",
                 "t," + ",".join(f"X_{i+1}" for i in range(component.n)),
                 [(float(t),) + tuple(map(float, x))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (STAT_ROWS, _batch, _by_trajectory, _check_finite,
-                       _check_plans, _initial_states, _stacked_increments,
-                       _step_in_parts, lifted_step, step_operators)
+                       _initial_states, _stacked_increments, _step_in_parts,
+                       lifted_step, step_operators)
 from .ergodics import decay_rate
 from .weights import mu_sigma_phi, weighted_norms
 
@@ -70,55 +70,51 @@ def _control(coeffs, xh, v, lam):
     return lam * np.einsum("...pd,...p->...d", s, sol)
 
 
-def _pair_steps(component, coeffs, table, lam, plans, y, yh):
+def _pair_steps(component, coeffs, table, lam, batch, y, yh):
     """Step the trajectory-last copies y, yh, one column per row of the
-    _batch of plans; yield (step, dist, energy, y, yh) at step 0 and after
-    every step, with the energies of the plans alone."""
-    h, batch = plans[0].h, _batch(plans)
-    ops = step_operators(component, h, lam, len(batch))
+    _batch of batch; yield (step, dist, energy, y, yh) at step 0 and after
+    every step, with the energies of the batch's own rows alone."""
+    h, stepped = batch.h, _batch(batch)
+    ops = step_operators(component, h, lam, len(stepped))
     x, xh = ops.observe(y), ops.observe(yh)
     v, dist = _gap(component, table, y, yh)
-    energy = np.zeros(len(plans))
+    energy = np.zeros(len(batch))
     yield 0, dist, energy, y, yh
-    with closing(_stacked_increments(batch)) as noise:
+    with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
             # left-point quadrature of the control energy
-            u = _control(coeffs, xh, v, lam)[:len(plans)]
+            u = _control(coeffs, xh, v, lam)[:len(batch)]
             energy += 0.5 * h * np.sum(u ** 2, axis=-1)
             y, yh, x, xh, v, dist = _coupled_step(
                 component, coeffs, table, ops, y, yh, x, xh, v, dw)
-            _check_finite("coupled", step, batch, y, yh, observed=(x, xh))
+            _check_finite("coupled", step, stepped, y, yh, observed=(x, xh))
             yield step, dist, energy, y, yh
 
 
-def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, plans):
+def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, batch):
     """Coupled ensemble from initial lifted states y1, y2 (one state, or
-    one per trajectory); plans is a list of NoisePlan with common (h, T).
+    one per trajectory), on the noise of a NoiseBatch.
     Step s's distances wait in row s % STAT_ROWS until their block of rows
     is full: one mean_stderr per block gives each row the bits of its own
     call.  The rows from _fork_row on are stepped in a child process, which
     fills their columns of each block (README, "The second process")."""
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
-    # checked here as well as in each part's _stacked_increments, so that a
-    # plan that disagrees is named against the batch's first, as in one
-    # process, and not against the first of the child's part
-    _check_plans(plans)
-    h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
+    h, m, n_traj = batch.h, batch.n_steps, len(batch)
     ops = step_operators(component, h)
-    y, _ = _initial_states(ops, y1, plans)
-    yh, _ = _initial_states(ops, y2, plans)
+    y, _ = _initial_states(ops, y1, batch)
+    yh, _ = _initial_states(ops, y2, batch)
     mean, stderr = np.empty(m + 1), np.empty(m + 1)
 
     def part(rows):
-        return _pair_steps(component, coeffs, table, lam, plans[rows],
+        return _pair_steps(component, coeffs, table, lam, batch[rows],
                            y[:, rows].copy(), yh[:, rows].copy())
 
     def block(b, rows):  # the distances of steps STAT_ROWS * b, ...
         done = slice(STAT_ROWS * b, STAT_ROWS * b + len(rows))
         mean[done], stderr[done] = mean_stderr(rows[:, :n_traj])
 
-    energy, y_end, yh_end = _step_in_parts(part, plans, len(y), block)
+    energy, y_end, yh_end = _step_in_parts(part, batch, len(y), block)
     return CoupledRun(times=np.arange(m + 1) * h, mean_dist=mean,
                       stderr_dist=stderr, energy=energy,
                       y_final=_by_trajectory(component, y_end)[:n_traj].copy(),

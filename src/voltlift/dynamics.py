@@ -2,7 +2,7 @@
 
 The lifted scheme is an exponential (exact-linear-part) Euler step; the
 direct scheme is a left-point Volterra Euler with drift weights integrated
-on the rule of ``quad.nodes``.  Both run a batch of plans on one noise
+on the rule of ``quad.nodes``.  Both run a NoiseBatch on one noise
 source, ``_stacked_increments``, which draws counter-based streams, one per
 block of NOISE_LANES trajectories, so that paths can be cross-validated on
 identical noise.  voltlift starts no thread: a large lifted ensemble or
@@ -18,7 +18,7 @@ import os
 import pickle
 import signal
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -81,89 +81,100 @@ def truncate_coefficients(coeffs, radius):
                    sigma=lambda x: coeffs.sigma(clamp(x)))
 
 
-@dataclass(frozen=True)
-class NoisePlan:
+@dataclass(frozen=True, eq=False)
+class NoiseBatch:
+    """Trajectories index of seed (a read-only int64 array, in any order),
+    each n_steps steps of h in d noise dimensions: the noise of a batch
+    that an integrator steps together.  batch[j] is row j's NoisePlan; a
+    slice or an index array of rows is a batch again."""
     seed: int
-    trajectory_index: int
+    index: np.ndarray
     h: float
     T: float
     d: int = 1
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step size h must be positive")
-        if self.T < 0.0:
-            raise ValueError("horizon T must be nonnegative")
-        if self.seed < 0 or self.trajectory_index < 0:
-            raise ValueError("seed and trajectory index must be nonnegative")
-        if self.trajectory_index >= DIAGNOSTIC_STREAM:
-            raise ValueError("trajectory index must be below 2**63, where "
-                             "the diagnostic streams start")
+        index = np.asarray(self.index)
+        if not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
+                and index.min() >= 0 and index.max() < DIAGNOSTIC_STREAM):
+            raise ValueError(f"index must be 1-d, nonempty and in [0, 2**63), "
+                             f"below the diagnostic streams, got {index!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        if not (self.h > 0.0 and self.T >= 0.0):
+            raise ValueError(f"h must be positive and T nonnegative, got "
+                             f"h = {self.h!r}, T = {self.T!r}")
+        object.__setattr__(self, "index", index.astype(np.int64))
+        self.index.flags.writeable = False
+        object.__setattr__(self, "n_steps", int(round(self.T / self.h)))
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return NoisePlan(self.seed, self.index[rows], self.h, self.T,
+                             self.d)
+        return NoiseBatch(self.seed, self.index[rows], self.h, self.T, self.d)
+
+
+class NoisePlan(NoiseBatch):
+    """The batch of one trajectory, with its reference increments."""
+
+    def __init__(self, seed, trajectory_index, h, T, d=1):
+        super().__init__(seed, [trajectory_index], h, T, d)
 
     @property
-    def n_steps(self):
-        return int(round(self.T / self.h))
+    def trajectory_index(self):
+        return int(self.index[0])
 
     def increments(self):
-        """Brownian increments, shape (n_steps, d); step index = row.  The
-        trajectory's lane of its block's whole stream, drawn step-major as
-        (n_steps, NOISE_LANES, d): a reference for _stacked_increments."""
+        """Brownian increments, (n_steps, d): the trajectory's lane of its
+        block's whole stream, drawn step-major as (n_steps, NOISE_LANES, d)."""
         block, lane = divmod(self.trajectory_index, NOISE_LANES)
         lanes = keyed_generator(self.seed, block).standard_normal(
             (self.n_steps, NOISE_LANES, self.d))
         return lanes[:, lane] * math.sqrt(self.h)
 
 
-def _lane_blocks(plans):
-    """Per lane block of the plans: its generator, keyed once, and the runs
+def make_plans(seed, n_traj, h, T, d=1, first_index=0):
+    """The NoiseBatch of n_traj trajectories of seed from first_index on."""
+    return NoiseBatch(seed, np.arange(first_index, first_index + n_traj), h,
+                      T, d)
+
+
+def _lane_blocks(batch):
+    """Per lane block of the batch: its generator, keyed once, and the runs
     of batch rows it fills, each (rows, lanes) as two slices of one length
     where both run up by one: a run is one slice copy, where a gather of a
     block's lanes would cost as much as their draw."""
+    block, lane = np.divmod(batch.index, NOISE_LANES)
+    starts = np.flatnonzero((np.diff(batch.index, prepend=-1) != 1)
+                            | (lane == 0)).tolist()
     runs = {}
-    for row, p in enumerate(plans):
-        block, lane = divmod(p.trajectory_index, NOISE_LANES)
-        own = runs.setdefault((p.seed, block), [])
-        if own and own[-1][0] + own[-1][2] == row \
-                and own[-1][1] + own[-1][2] == lane:
-            own[-1][2] += 1
-        else:
-            own.append([row, lane, 1])  # first row, first lane, length
-    return [(keyed_generator(*key),
-             [(slice(r, r + k), slice(l, l + k)) for r, l, k in own])
-            for key, own in runs.items()]
+    for start, end in zip(starts, starts[1:] + [len(batch)]):
+        first = int(lane[start])
+        runs.setdefault(int(block[start]), []).append(
+            (slice(start, end), slice(first, first + end - start)))
+    return [(keyed_generator(batch.seed, b), own) for b, own in runs.items()]
 
 
-def _check_plans(plans):
-    """Reject a plan whose (h, T, d) differs from the first's: a batch is
-    stepped together."""
-    first = plans[0]
-    shape = (first.h, first.T, first.d)
-    for p in plans:
-        if (p.h, p.T, p.d) != shape:
-            raise ValueError(
-                f"trajectory {p.trajectory_index}: (h, T, d) = "
-                f"{(p.h, p.T, p.d)} differs from {shape}, trajectory "
-                f"{first.trajectory_index}'s; a batch is stepped together")
-
-
-def _stacked_increments(plans):
-    """Yield each step's (n_traj, d) increments for plans of one (h, T, d):
-    the values of NoisePlan.increments.  Each lane block's stream is drawn
-    once for all its plans, step-major, a few steps at a time, through one
-    lane buffer.  A step block is drawn while the one before is still held,
-    so two blocks and the lane buffer hold at most NOISE_BUFFER normals,
-    flat in T.  Every integrator steps its batch on these, so a plan that
-    disagrees is rejected here."""
-    _check_plans(plans)
-    first = plans[0]
-    m, d, scale = first.n_steps, first.d, math.sqrt(first.h)
-    blocks = _lane_blocks(plans)
+def _stacked_increments(batch):
+    """Yield each step's (n_traj, d) increments for a NoiseBatch: the values
+    of NoisePlan.increments.  Each lane block's stream is drawn once for
+    all its rows, step-major, a few steps at a time, through one lane
+    buffer.  A step block is drawn while the one before is still held, so
+    two blocks and the lane buffer hold at most NOISE_BUFFER normals, flat
+    in T."""
+    m, d, scale = batch.n_steps, batch.d, math.sqrt(batch.h)
+    blocks = _lane_blocks(batch)
     steps = max(1, min(NOISE_BLOCK_STEPS,
-                       NOISE_BUFFER // ((2 * len(plans) + NOISE_LANES) * d)))
+                       NOISE_BUFFER // ((2 * len(batch) + NOISE_LANES) * d)))
     lanes = np.empty((steps, NOISE_LANES, d))
     for start in range(0, m, steps):
         # step-major and C-ordered, so each step's rows are contiguous
-        out = np.empty((min(steps, m - start), len(plans), d))
+        out = np.empty((min(steps, m - start), len(batch), d))
         for gen, runs in blocks:
             drawn = lanes[:len(out)]
             gen.standard_normal(out=drawn)
@@ -171,10 +182,6 @@ def _stacked_increments(plans):
             for dst, src in runs:
                 out[:, dst] = drawn[:, src]
         yield from out
-
-
-def make_plans(seed, n_traj, h, T, d=1, first_index=0):
-    return [NoisePlan(seed, first_index + i, h, T, d) for i in range(n_traj)]
 
 
 @dataclass(frozen=True)
@@ -247,23 +254,23 @@ def lifted_step(ops, coeffs, z, x, dw, v=None):
     return z, ops.observe(z)
 
 
-def _batch(plans):
-    """plans, a lone plan twice.  numpy drops a trajectory axis of length 1
-    from an einsum and may then sum over the factors in its inner loop, in
-    another order; two columns keep a trajectory's bits the same in every
-    batch."""
-    return plans * 2 if len(plans) == 1 else plans
+def _batch(batch):
+    """batch, a lone trajectory twice.  numpy drops a trajectory axis of
+    length 1 from an einsum and may then sum over the factors in its inner
+    loop, in another order; two columns keep a trajectory's bits the same
+    in every batch."""
+    return batch[[0, 0]] if len(batch) == 1 else batch
 
 
-def _initial_states(ops, z0, plans):
-    """Trajectory-last copies of z0 for the _batch of plans (one state
-    shared, or a stack of one per plan) and their x."""
+def _initial_states(ops, z0, batch):
+    """Trajectory-last copies of z0 for the _batch of batch (one state
+    shared, or a stack of one per trajectory) and their x."""
     z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 3 and len(z0) != len(plans):
+    if z0.ndim == 3 and len(z0) != len(batch):
         raise ValueError(f"z0 holds {len(z0)} initial states for "
-                         f"{len(plans)} trajectories")
+                         f"{len(batch)} trajectories")
     z = z0.reshape(-1, ops.forcing.shape[1]).T
-    z = np.broadcast_to(z, (z.shape[0], len(_batch(plans)))).copy()
+    z = np.broadcast_to(z, (z.shape[0], len(_batch(batch)))).copy()
     return z, ops.observe(z)
 
 
@@ -272,7 +279,7 @@ def _by_trajectory(component, z):
     return z.T.reshape(z.shape[1], component.size, component.n)
 
 
-def _check_finite(kind, step, plans, *states, observed=()):
+def _check_finite(kind, step, batch, *states, observed=()):
     """Abort naming the step and first trajectory with a non-finite state.
     A NaN or inf in z makes its x = sum_i w_i z_i non-finite (w is finite),
     so finite observed x prove the states finite; a non-finite x, which a
@@ -282,27 +289,27 @@ def _check_finite(kind, step, plans, *states, observed=()):
     if all(np.isfinite(z).all() for z in states):
         return
     bad = np.any([~np.isfinite(z).all(axis=0) for z in states], axis=0)
-    j = plans[np.argmax(bad)].trajectory_index
+    j = batch.index[np.argmax(bad)]
     raise FloatingPointError(
         f"non-finite {kind} state at step {step}, trajectory {j}")
 
 
-def _lifted_steps(component, coeffs, z, plans):
+def _lifted_steps(component, coeffs, z, batch):
     """Step the trajectory-last states z, one column per row of the _batch
-    of plans; yield (step, z, x) for step 0 and after every step.  Each
+    of batch; yield (step, z, x) for step 0 and after every step.  Each
     yielded array is new, never updated in place."""
-    batch = _batch(plans)
-    ops = step_operators(component, plans[0].h, width=len(batch))
+    stepped = _batch(batch)
+    ops = step_operators(component, batch.h, width=len(stepped))
     x = ops.observe(z)
     yield 0, z, x
-    with closing(_stacked_increments(batch)) as noise:
+    with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
             z, x = lifted_step(ops, coeffs, z, x, dw)
-            _check_finite("lifted", step, batch, z, observed=(x,))
+            _check_finite("lifted", step, stepped, z, observed=(x,))
             yield step, z, x
 
 
-def _fork_row(plans, size):
+def _fork_row(batch, size):
     """The row of the batch from which a child process steps it: the
     lane-block boundary nearest the middle that leaves each part at least
     FORK_MIN_PART_ENTRIES state entries (size a trajectory) and two
@@ -310,18 +317,16 @@ def _fork_row(plans, size):
     whose states hold it once).  None, and the calling process steps every
     row, when there is no such boundary, on one usable CPU or on a platform
     without sched_getaffinity (Windows, which has no fork, and macOS)."""
-    if (len(plans) * size < 2 * FORK_MIN_PART_ENTRIES
+    n = len(batch)
+    if (n * size < 2 * FORK_MIN_PART_ENTRIES
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2):
         return None
     least = max(2, -(-FORK_MIN_PART_ENTRIES // size))  # rows of a part
-
-    def block(p):
-        return p.seed, p.trajectory_index // NOISE_LANES
-
-    starts = (r for r in range(least, len(plans) - least + 1)
-              if block(plans[r]) != block(plans[r - 1]))
-    return min(starts, key=lambda r: abs(2 * r - len(plans)), default=None)
+    # the rows least, ..., n - least that start a lane block
+    starts = least + np.flatnonzero(np.diff(
+        batch.index[least - 1:n - least + 1] // NOISE_LANES))
+    return int(starts[np.argmin(abs(2 * starts - n))]) if starts.size else None
 
 
 def _pickled_error(step, exc):
@@ -440,17 +445,17 @@ class _ForkedPart:
             raise self.error[1] from None
 
 
-def _step_in_parts(part, plans, size, block=None):
-    """Step a batch of plans with size state entries a trajectory, in two
-    processes where _fork_row splits it.  part(rows) steps plans[rows] and
+def _step_in_parts(part, batch, size, block=None):
+    """Step a NoiseBatch with size state entries a trajectory, in two
+    processes where _fork_row splits it.  part(rows) steps batch[rows] and
     yields (step, row, *last) at step 0 and after every step; the child
     steps the rows from the split on, and the calling process the rest.
     block(b, rows), if given, gets the rows of steps STAT_ROWS * b, ...
-    from both parts, a column per row of the _batch of plans.  Returns each
-    last array of both parts joined on its last, trajectory, axis."""
-    split = _fork_row(plans, size)
+    from both parts, a column per row of the _batch of batch.  Returns
+    each last array of both parts joined on its last, trajectory, axis."""
+    split = _fork_row(batch, size)
     own = slice(split)  # the calling process's rows, all without a child
-    rows = np.empty((STAT_ROWS, len(_batch(plans)) if block else 0))
+    rows = np.empty((STAT_ROWS, len(_batch(batch)) if block else 0))
     child = None if split is None else _ForkedPart(part(slice(split, None)))
 
     def flush(b, k):  # rows[:k] hold steps STAT_ROWS * b, ..., + k - 1
@@ -483,40 +488,39 @@ def simulate_lifted(component, coeffs, z0, plan):
     m = plan.n_steps
     states = np.empty((m + 1, component.size, component.n))
     obs = np.empty((m + 1, component.n))
-    z, _ = _initial_states(step_operators(component, plan.h), z0, [plan])
-    for step, z, x in _lifted_steps(component, coeffs, z, [plan]):
+    z, _ = _initial_states(step_operators(component, plan.h), z0, plan)
+    for step, z, x in _lifted_steps(component, coeffs, z, plan):
         states[step], obs[step] = _by_trajectory(component, z)[0], x[:, 0]
     return LiftedPath(times=np.arange(m + 1) * plan.h, states=states,
                       observables=obs)
 
 
-def simulate_lifted_ensemble(component, coeffs, z0, plans, record_times=None):
-    """Integrate one trajectory per plan from z0 (one state, or one per
-    trajectory).  Returns (times, X, z_final) with X of shape
+def simulate_lifted_ensemble(component, coeffs, z0, batch, record_times=None):
+    """Integrate the trajectories of a NoiseBatch from z0 (one state, or
+    one per trajectory).  Returns (times, X, z_final) with X of shape
     (n_rec, n_traj, n); record_times=None records the final time only.
     The rows from _fork_row on are stepped in a child process (README,
     "The second process")."""
-    _check_plans(plans)
-    h, m = plans[0].h, plans[0].n_steps
+    h, m = batch.h, batch.n_steps
     rec_steps = (np.array([m]) if record_times is None else
                  np.rint(np.asarray(record_times, dtype=float) / h)
                  .astype(np.int64))
     if np.any((rec_steps < 0) | (rec_steps > m)):
         raise ValueError("record time outside the simulated horizon")
     order = np.argsort(rec_steps, kind="stable")  # records in step order
-    z, _ = _initial_states(step_operators(component, h), z0, plans)
+    z, _ = _initial_states(step_operators(component, h), z0, batch)
 
     def part(rows):
-        n_part, k = len(plans[rows]), 0
+        n_part, k = len(batch[rows]), 0
         X = np.empty((len(rec_steps), component.n, n_part))
         for step, zs, x in _lifted_steps(component, coeffs, z[:, rows].copy(),
-                                         plans[rows]):
+                                         batch[rows]):
             while k < len(order) and rec_steps[order[k]] == step:
                 X[order[k]] = x[:, :n_part]
                 k += 1
             yield step, (), X, zs[:, :n_part]
 
-    X, z = _step_in_parts(part, plans, len(z))
+    X, z = _step_in_parts(part, batch, len(z))
     return (rec_steps * h, np.ascontiguousarray(X.transpose(0, 2, 1)),
             _by_trajectory(component, z).copy())
 
@@ -546,22 +550,22 @@ def volterra_weights(k_b, k_s, h, m):
     return kb, np.concatenate([first[None], at(k_s, hi[1:])])
 
 
-def simulate_volterra_direct(kernels, coeffs, forcing, plans):
+def simulate_volterra_direct(kernels, coeffs, forcing, batch):
     """Left-point Euler for the Volterra equation itself, one trajectory
-    per plan (a list with common (h, T)), on the noise of the lifted
-    integrators.  kernels: (K_b, K_s), see volterra_weights; forcing:
-    t -> (n,).  Returns (times, x) with x of shape (m+1, n_traj, n)."""
-    h, m, n, n_traj = plans[0].h, plans[0].n_steps, coeffs.n, len(plans)
-    batch = _batch(plans)
+    per row of a NoiseBatch, on the noise of the lifted integrators.
+    kernels: (K_b, K_s), see volterra_weights; forcing: t -> (n,).
+    Returns (times, x) with x of shape (m+1, n_traj, n)."""
+    h, m, n, n_traj = batch.h, batch.n_steps, coeffs.n, len(batch)
+    stepped = _batch(batch)
     kb, ks = volterra_weights(*kernels, h, m)
     # trajectory-last, as in lifted_step: einsum's inner loop then runs
     # over the trajectories, and each history sum keeps one order in
     # any batch
-    x = np.empty((m + 1, n, len(batch)))
-    bvals = np.empty((m, n, len(batch)))
-    svals = np.empty((m, n, len(batch)))
+    x = np.empty((m + 1, n, len(stepped)))
+    bvals = np.empty((m, n, len(stepped)))
+    svals = np.empty((m, n, len(stepped)))
     x[0] = np.atleast_1d(forcing(0.0))[:, None]
-    with closing(_stacked_increments(batch)) as noise:
+    with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
             xt = x[step - 1].T
             bvals[step - 1] = coeffs.b(xt).T
@@ -571,7 +575,7 @@ def simulate_volterra_direct(kernels, coeffs, forcing, plans):
                                    bvals[:step])
                        + np.einsum("lpq,lqt->pt", ks[step - 1::-1],
                                    svals[:step]))
-            _check_finite("Volterra", step, batch, x[step])
+            _check_finite("Volterra", step, stepped, x[step])
     return np.arange(m + 1) * h, x[..., :n_traj].transpose(0, 2, 1)
 
 

@@ -152,16 +152,15 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2):
             import warnings
             warnings.warn("Lyapunov sufficiency check failed; the decay fit "
                           "may not stabilize", stacklevel=2)
-    plans = make_plans(seed, n_traj, h, max(times), d=coeffs.d)
     # one batch, lane block by lane block: a block's trajectories from y1,
     # then the same from y2, so each block is drawn once for both and a
     # fork splits the batch between blocks
-    starts = range(0, n_traj, NOISE_LANES)
-    copy = np.concatenate([np.repeat([0, 1], min(NOISE_LANES, n_traj - j))
-                           for j in starts])
+    order = np.argsort(np.tile(np.arange(n_traj) // NOISE_LANES, 2),
+                       kind="stable")
+    copy = order // n_traj
     sim_times, X, _ = simulate_lifted_ensemble(
         component, coeffs, np.stack([np.ravel(y1), np.ravel(y2)])[copy],
-        [p for j in starts for p in plans[j:j + NOISE_LANES] * 2],
+        make_plans(seed, n_traj, h, max(times), d=coeffs.d)[order % n_traj],
         record_times=times)
     ens1, ens2 = X[:, copy == 0], X[:, copy == 1]
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -720,3 +721,70 @@ def test_validate_survives_one_mutated_leaf(tmp_path, capsys, data):
     # an exception escaping main, a traceback on the command line, fails
     assert main(["validate", "--config", cfg]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _shrunk(name):
+    """A shipped config cut down to a run of well under a second."""
+    doc = json.loads((CONFIGS / name).read_text())
+    doc.pop("output_dir", None)
+    if "basis_b" in doc:  # the mutated config is written elsewhere
+        doc["basis_b"]["file"] = str(CONFIGS / doc["basis_b"]["file"])
+    if "rng" in doc:
+        doc["rng"]["trajectories"] = min(doc["rng"]["trajectories"], 16)
+    if "scheme" in doc:
+        doc["scheme"]["T"] = min(doc["scheme"]["T"], 0.2)
+    if "discretization" in doc:
+        doc["discretization"]["k"] = min(doc["discretization"]["k"], 4)
+    if doc["experiment"] == "ergodic":
+        doc["t_grid"] = [0.1, 0.2]
+    if "ladder" in doc:
+        doc["ladder"] = [2, 4]
+    if "burn_in" in doc:
+        doc.update(burn_in=0.1, lags=[0.05, 0.1])
+    return doc
+
+
+def _numeric_mutations(count, seed):
+    """count (config, leaf path, value) cases drawn by seed from every
+    numeric leaf of every shrunk shipped config and every value of the
+    list below."""
+    values = (0, -1, -0.0, 0.5, 2.5, 1e-300, 1e300)
+    cases = [(name, path, value) for name in SHIPPED
+             for path in _leaf_paths(_shrunk(name))
+             if cli._is_number(_leaf(_shrunk(name), path))
+             for value in values]
+    return random.Random(seed).sample(cases, count)
+
+
+def _leaf(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@pytest.mark.skipif(resource is None or sys.platform != "linux",
+                    reason="needs RLIMIT_AS, which only Linux enforces")
+@pytest.mark.parametrize(
+    "name,path,value", _numeric_mutations(16, seed=26),
+    ids=lambda c: (c if isinstance(c, str) else
+                   ".".join(map(str, c)) if isinstance(c, tuple) else
+                   repr(c)))
+def test_run_of_a_mutated_numeric_leaf_exits_0_2_or_3(tmp_path, name, path,
+                                                      value):
+    # a shrunk shipped config with one numeric leaf set to an edge value
+    # runs in a fresh interpreter under the 2 GiB address-space limit:
+    # success, a config error or a numerical abort, never a traceback, a
+    # crash or a hang
+    doc = _shrunk(name)
+    _leaf(doc, path[:-1])[path[-1]] = value
+    cfg = write_config(tmp_path, "mutated.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "voltlift.cli", "run",
+                           "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_limit_address_space)
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -18,7 +18,7 @@ from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
                                simulate_coupled_pair)
 from voltlift.discretize import build_component
 from voltlift.dynamics import (FORK_MIN_PART_ENTRIES, CoefficientModel,
-                               NoisePlan, _batch, _by_trajectory, _fork_row,
+                               _batch, _by_trajectory, _fork_row,
                                _ForkedPart, _initial_states,
                                _stacked_increments, make_plans, make_preset,
                                simulate_lifted_ensemble, step_operators)
@@ -153,16 +153,6 @@ def test_coupled_trajectory_bits_do_not_depend_on_its_batch():
         for name in ("energy", "y_final", "yh_final"):
             np.testing.assert_array_equal(getattr(solo, name)[0],
                                           getattr(batch, name)[j], name)
-
-
-def test_coupled_pair_rejects_plans_of_another_shape():
-    comp = atom_setup()
-    coeffs = make_preset("linear")
-    table = build_custom(comp, [EYE])
-    plans = make_plans(0, 2, 0.01, 1.0, d=1) + [NoisePlan(0, 2, 0.5, 1.0)]
-    with pytest.raises(ValueError, match="trajectory 2"):
-        simulate_coupled_pair(comp, coeffs, table, 1.0, np.ones((1, 1)),
-                              np.zeros((1, 1)), plans)
 
 
 def test_invalid_gain_rejected():

@@ -14,7 +14,7 @@ from voltlift.coupling import simulate_coupled_pair
 from voltlift.discretize import build_component
 from voltlift import dynamics
 from voltlift.dynamics import (NOISE_BLOCK_STEPS, NOISE_LANES,
-                               CoefficientModel, NoisePlan,
+                               CoefficientModel, NoiseBatch, NoisePlan,
                                _lane_blocks, _noise_term,
                                _stacked_increments, lifted_step,
                                make_plans, make_preset, preset_linear,
@@ -54,6 +54,31 @@ def test_noise_plan_validates_inputs():
     NoisePlan(seed=0, trajectory_index=2 ** 63 - 1, h=0.1, T=1.0, d=1)
     with pytest.raises(ValueError, match="diagnostic"):
         NoisePlan(seed=0, trajectory_index=2 ** 63, h=0.1, T=1.0, d=1)
+
+
+def test_noise_batch_holds_a_read_only_copy_of_its_index():
+    idx = np.array([700, 3, 255])
+    batch = NoiseBatch(9, idx, 0.1, 1.0, 2)
+    idx[0] = 0
+    assert batch.index.tolist() == [700, 3, 255]
+    assert not batch.index.flags.writeable
+    assert (len(batch), batch.n_steps, batch[0].trajectory_index) \
+        == (3, 10, 700)
+    rows = batch[1:]
+    assert type(rows) is NoiseBatch and rows.index.tolist() == [3, 255]
+    assert batch[[2, 2]].index.tolist() == [255, 255]
+
+
+def test_a_batch_rejects_no_trajectories_and_a_seed_past_64_bits():
+    # each named by its field: an empty batch raised IndexError from its
+    # first row, and a seed of 2**64 an OverflowError from the Philox key
+    comp = build_component(make_expsum_basis([(1.0, EYE, EYE)]), 1, 2.0)
+    with pytest.raises(ValueError, match="index must be 1-d, nonempty"):
+        simulate_lifted_ensemble(comp, make_preset("linear"),
+                                 np.zeros((1, 1)), make_plans(0, 0, 0.1, 1.0))
+    with pytest.raises(ValueError, match="seed"):
+        make_plans(2 ** 64, 2, 0.1, 1.0)
+    assert len(make_plans(2 ** 64 - 1, 2, 0.1, 1.0)) == 2
 
 
 def test_increment_variance_scales_with_h():
@@ -193,7 +218,7 @@ def test_stacked_noise_takes_each_plans_lane_in_any_order():
     # its plan's lane of its block's stream
     h = 0.1
     idx = [700, 3, 255, 256, 4, 511, 3]
-    plans = [NoisePlan(9, j, h, 1.5 * NOISE_BLOCK_STEPS * h, 2) for j in idx]
+    plans = NoiseBatch(9, idx, h, 1.5 * NOISE_BLOCK_STEPS * h, 2)
     rows = np.stack(list(_stacked_increments(plans)))
     np.testing.assert_array_equal(
         rows, np.stack([p.increments() for p in plans], axis=1))
@@ -201,10 +226,11 @@ def test_stacked_noise_takes_each_plans_lane_in_any_order():
 
 def lane_blocks_twice(plans):
     """plans of trajectories 0, 1, ... twice, lane block by lane block (a
-    block's plans, then the same again), as ergodic_decay batches its two
+    block's rows, then the same again), as ergodic_decay batches its two
     copies."""
-    return [p for j in range(0, len(plans), NOISE_LANES)
-            for p in plans[j:j + NOISE_LANES] * 2]
+    rows = np.arange(len(plans))
+    return plans[np.concatenate([np.tile(rows[j:j + NOISE_LANES], 2)
+                                 for j in range(0, len(plans), NOISE_LANES)])]
 
 
 def test_stacked_noise_of_each_lane_twice():
@@ -457,19 +483,6 @@ def test_coupled_pair_memory_bounded_in_horizon():
     assert peak(200.0) <= 1.5 * peak(20.0)
 
 
-def test_ensemble_rejects_plans_of_another_shape():
-    # every plan is stepped with the first plan's h and step count, so a
-    # longer or coarser plan would be cut short or stepped at the wrong h
-    basis = make_expsum_basis([(1.0, EYE, EYE)])
-    comp = build_component(basis, 1, theta_max=2.0)
-    coeffs = make_preset("linear")
-    for odd in (NoisePlan(0, 3, 0.01, 3.0), NoisePlan(0, 3, 0.5, 1.0),
-                NoisePlan(0, 3, 0.01, 1.0, d=2)):
-        plans = make_plans(0, 3, 0.01, 1.0) + [odd]
-        with pytest.raises(ValueError, match="trajectory 3"):
-            simulate_lifted_ensemble(comp, coeffs, np.zeros((1, 1)), plans)
-
-
 @pytest.mark.parametrize("count", [1, 2])
 def test_lifted_ensemble_rejects_a_stack_of_other_count(count):
     comp, coeffs = ergodic_2d_setup()
@@ -559,7 +572,7 @@ def test_direct_scheme_tracks_lifted_scheme():
     plan = NoisePlan(seed=9, trajectory_index=0, h=0.005, T=2.0, d=1)
     lifted = simulate_lifted(comp, coeffs, np.zeros((1, 1)), plan)
     _, direct = simulate_volterra_direct(kernels, coeffs,
-                                         lambda t: np.zeros(1), [plan])
+                                         lambda t: np.zeros(1), plan)
     assert np.max(np.abs(lifted.observables - direct[:, 0])) < 0.05
 
 
