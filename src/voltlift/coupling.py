@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (STAT_ROWS, _batch, _by_trajectory, _check_finite,
-                       _initial_states, _stacked_increments, _step_in_parts,
-                       lifted_step, step_operators)
+                       _diffusion, _initial_states, _noise_term,
+                       _stacked_increments, _step_in_parts, lifted_step,
+                       step_operators)
 from .ergodics import decay_rate
 from .weights import mu_sigma_phi, weighted_norms
 
@@ -43,23 +44,38 @@ def _gap(component, table, y, yh):
             weighted_norms(component, table, diff))
 
 
-def _coupled_step(component, coeffs, table, ops, y, yh, x, xh, v, dw):
+def _coupled_step(component, coeffs, table, ops, y, yh, x, xh, v, sigma, dw):
     """Advance both trajectory-last copies on the shared dw (the second with
     the control drift lam * M_s v, the control block of ops.forcing); return
-    them and their new _gap."""
-    y, x = lifted_step(ops, coeffs, y, x, dw)
-    yh, xh = lifted_step(ops, coeffs, yh, xh, dw, v)
+    them and their new _gap.  A constant _diffusion sigma gives both copies
+    one noise term."""
+    noise = _noise_term(sigma, x, dw)
+    y, x = lifted_step(ops, coeffs, y, x, noise)
+    if callable(sigma):
+        noise = _noise_term(sigma, xh, dw)
+    yh, xh = lifted_step(ops, coeffs, yh, xh, noise, v)
     return (y, yh, x, xh) + _gap(component, table, y, yh)
 
 
-def _control(coeffs, xh, v, lam):
+def _gram(s):
+    """sigma sigma^T of each (..., n, d) diffusion matrix."""
+    return np.einsum("...pd,...qd->...pq", s, s)
+
+
+def _control(sigma, gram, xh, v, lam):
     """u = lam * sigma(xh)^T (sigma sigma^T)^{-1} v for trajectory-last xh
-    and v, as (n_traj, d).  Nonzero 1x1 Gram matrices are divided by, which
-    gives the bits of np.linalg.solve without its per-call cost."""
-    s = coeffs.sigma(xh.T)
-    gram = np.einsum("...pd,...qd->...pq", s, s)
-    if gram.shape[-1] == 1 and np.all(gram):
+    and v, as (n_traj, d), for a _diffusion sigma and the _gram of a
+    constant one (None: formed per trajectory).  Nonzero 1x1 Gram matrices
+    are divided by, which gives the bits of np.linalg.solve without its
+    per-call cost; a constant one's -0.0 where einsum gives +0.0 reaches
+    only u^2."""
+    if callable(sigma):
+        sigma = sigma(xh.T)
+        gram = _gram(sigma)
+    if gram.shape[-1] == 1 and gram.all():
         sol = v.T / gram[..., 0]
+        if gram.ndim == 2:
+            return lam * (sol * sigma[0])
     else:
         try:
             sol = np.linalg.solve(gram, v.T[..., None])[..., 0]
@@ -67,14 +83,15 @@ def _control(coeffs, xh, v, lam):
             raise FloatingPointError(
                 "singular diffusion Gram matrix: ellipticity violated along "
                 "the path") from exc
-    return lam * np.einsum("...pd,...p->...d", s, sol)
+    return lam * np.einsum("...pd,...p->...d", sigma, sol)
 
 
 def _pair_steps(component, coeffs, table, lam, batch, y, yh):
     """Step the trajectory-last copies y, yh, one column per row of the
     _batch of batch; yield (step, dist, energy, y, yh) at step 0 and after
     every step, with the energies of the batch's own rows alone."""
-    h, stepped = batch.h, _batch(batch)
+    h, stepped, sigma = batch.h, _batch(batch), _diffusion(coeffs)
+    gram = None if callable(sigma) else _gram(sigma)
     ops = step_operators(component, h, lam, len(stepped))
     x, xh = ops.observe(y), ops.observe(yh)
     v, dist = _gap(component, table, y, yh)
@@ -83,10 +100,10 @@ def _pair_steps(component, coeffs, table, lam, batch, y, yh):
     with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
             # left-point quadrature of the control energy
-            u = _control(coeffs, xh, v, lam)[:len(batch)]
-            energy += 0.5 * h * np.sum(u ** 2, axis=-1)
+            u = _control(sigma, gram, xh, v, lam)[:len(batch)]
+            energy += 0.5 * h * (u * u).sum(-1)
             y, yh, x, xh, v, dist = _coupled_step(
-                component, coeffs, table, ops, y, yh, x, xh, v, dw)
+                component, coeffs, table, ops, y, yh, x, xh, v, sigma, dw)
             _check_finite("coupled", step, stepped, y, yh, observed=(x, xh))
             yield step, dist, energy, y, yh
 

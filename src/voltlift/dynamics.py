@@ -229,23 +229,33 @@ def step_operators(component, h, lam=None, width=1):
                          forcing=forcing, w=component.w)
 
 
-def _noise_term(sigma, dw):
-    """sigma(x) dW, trajectory-last (n, n_traj), for sigma of shape
-    (n_traj, n, d) and dw (n_traj, d): from zeros, one multiply-add per
-    noise column in column order, which is einsum's sum for d <= 2."""
-    out = np.zeros((sigma.shape[1], len(dw)))
+def _diffusion(coeffs):
+    """The diffusion an integrator steps with: one (n, d) matrix, evaluated
+    once, where the model declares it constant (C_sLip 0), else the
+    model's sigma, evaluated per trajectory and step."""
+    if coeffs.C_sLip == 0.0:
+        return np.asarray(coeffs.sigma(np.zeros((1, coeffs.n)))[0], float)
+    return coeffs.sigma
+
+
+def _noise_term(sigma, x, dw):
+    """sigma dW, trajectory-last (n, n_traj), for a _diffusion sigma (a
+    callable one taken at x, (n, n_traj)) and dw (n_traj, d): from zeros,
+    one multiply-add per noise column in column order, which is einsum's
+    sum for d <= 2."""
+    s = sigma(x.T) if callable(sigma) else sigma[None]
+    out = np.zeros((s.shape[1], len(dw)))
     for col in range(dw.shape[1]):
-        out += sigma[:, :, col].T * dw[:, col]
+        out += s[:, :, col].T * dw[:, col]
     return out
 
 
-def lifted_step(ops, coeffs, z, x, dw, v=None):
+def lifted_step(ops, coeffs, z, x, noise, v=None):
     """One exponential-Euler step of trajectory-last states: z (I*n, n_traj),
-    x (n, n_traj), dw (n_traj, d).  v (n, n_traj), the coupling control's
-    input, meets the control block of ops.forcing; without v the last two
-    blocks apply."""
-    xt = x.T
-    forcing = [coeffs.b(xt).T, _noise_term(coeffs.sigma(xt), dw)]
+    x (n, n_traj) and the step's _noise_term (n, n_traj).  v (n, n_traj),
+    the coupling control's input, meets the control block of ops.forcing;
+    without v the last two blocks apply."""
+    forcing = [coeffs.b(x.T).T, noise]
     if v is not None:
         forcing.insert(0, v)
     forcing = np.concatenate(forcing)
@@ -298,13 +308,13 @@ def _lifted_steps(component, coeffs, z, batch):
     """Step the trajectory-last states z, one column per row of the _batch
     of batch; yield (step, z, x) for step 0 and after every step.  Each
     yielded array is new, never updated in place."""
-    stepped = _batch(batch)
+    stepped, sigma = _batch(batch), _diffusion(coeffs)
     ops = step_operators(component, batch.h, width=len(stepped))
     x = ops.observe(z)
     yield 0, z, x
     with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
-            z, x = lifted_step(ops, coeffs, z, x, dw)
+            z, x = lifted_step(ops, coeffs, z, x, _noise_term(sigma, x, dw))
             _check_finite("lifted", step, stepped, z, observed=(x,))
             yield step, z, x
 
@@ -556,7 +566,7 @@ def simulate_volterra_direct(kernels, coeffs, forcing, batch):
     kernels: (K_b, K_s), see volterra_weights; forcing: t -> (n,).
     Returns (times, x) with x of shape (m+1, n_traj, n)."""
     h, m, n, n_traj = batch.h, batch.n_steps, coeffs.n, len(batch)
-    stepped = _batch(batch)
+    stepped, sigma = _batch(batch), _diffusion(coeffs)
     kb, ks = volterra_weights(*kernels, h, m)
     # trajectory-last, as in lifted_step: einsum's inner loop then runs
     # over the trajectories, and each history sum keeps one order in
@@ -567,9 +577,8 @@ def simulate_volterra_direct(kernels, coeffs, forcing, batch):
     x[0] = np.atleast_1d(forcing(0.0))[:, None]
     with closing(_stacked_increments(stepped)) as noise:
         for step, dw in enumerate(noise, start=1):
-            xt = x[step - 1].T
-            bvals[step - 1] = coeffs.b(xt).T
-            svals[step - 1] = _noise_term(coeffs.sigma(xt), dw)
+            bvals[step - 1] = coeffs.b(x[step - 1].T).T
+            svals[step - 1] = _noise_term(sigma, x[step - 1], dw)
             x[step] = (np.atleast_1d(forcing(step * h))[:, None]
                        + np.einsum("lpq,lqt->pt", kb[step - 1::-1],
                                    bvals[:step])
@@ -596,16 +605,8 @@ def _const_diffusion(sigma0, n):
         raise ValueError(f"sigma0 must be a number or an (n, d) = ({n}, {n}) "
                          f"matrix, got shape {mat.shape}")
 
-    # one read-only broadcast view per leading shape, built on first use:
-    # a coupled run asks for the same shape three times a step
-    views = {}
-
-    def sigma(x):
-        lead = np.shape(x)[:-1]
-        view = views.get(lead)
-        if view is None:
-            view = views[lead] = np.broadcast_to(mat, lead + (n, n))
-        return view
+    def sigma(x):  # a read-only broadcast view
+        return np.broadcast_to(mat, np.shape(x)[:-1] + (n, n))
 
     return dict(sigma=sigma, n=n, d=n, C_sLip=0.0, p=0.5,
                 C_ssub=float(np.linalg.norm(mat)),
@@ -635,7 +636,7 @@ def preset_tanh(scale=1.0, sigma0=1.0, n=1):
     """Bounded Lipschitz drift b(x) = -x + scale*tanh(x), constant diffusion."""
     def b(x):
         x = np.asarray(x, dtype=float)
-        return -x + scale * np.tanh(x)
+        return scale * np.tanh(x) - x
 
     return CoefficientModel(
         b=b, C_bLip=1.0 + abs(scale),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voltlift import dynamics
+from voltlift import coupling, dynamics
 from voltlift.cli import _build_inputs, main, resolve_config
 from voltlift.coupling import (STAT_ROWS, _control, _coupled_step, _gap,
                                contraction_report, mean_stderr,
@@ -21,7 +21,8 @@ from voltlift.dynamics import (FORK_MIN_PART_ENTRIES, CoefficientModel,
                                _batch, _by_trajectory, _fork_row,
                                _ForkedPart, _initial_states,
                                _stacked_increments, make_plans, make_preset,
-                               simulate_lifted_ensemble, step_operators)
+                               simulate_lifted_ensemble,
+                               simulate_volterra_direct, step_operators)
 from voltlift.kernelbasis import (make_expsum_basis,
                                   make_tempered_fractional_basis)
 from voltlift.weights import (build_custom, build_phi_coupling,
@@ -100,16 +101,32 @@ def test_common_noise_cancels_for_constant_sigma():
     assert np.max(run.stderr_dist) < 1e-14
 
 
-def test_degenerate_diffusion_aborts():
+def test_degenerate_diffusion_aborts(monkeypatch):
+    # a zero sigma per step, and a zero constant one (the preset's C_sLip
+    # 0), abort at step 1's control, before the first coupled step, with
+    # no divide-by-zero warning
     comp = atom_setup()
     degenerate = CoefficientModel(
         b=lambda x: -x, sigma=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
         n=1, d=1)
     table = build_custom(comp, [EYE])
     plans = make_plans(0, 1, 0.1, 0.5, d=1)
-    with pytest.raises(FloatingPointError):
-        simulate_coupled_pair(comp, degenerate, table, 1.0,
-                              np.full((1, 1), 1.0), np.zeros((1, 1)), plans)
+    steps = []
+
+    def counted(*args):
+        steps.append(1)
+        return _coupled_step(*args)
+
+    monkeypatch.setattr(coupling, "_coupled_step", counted)
+    for coeffs in (degenerate, make_preset("linear", sigma0=0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="singular diffusion Gram matrix"):
+                simulate_coupled_pair(comp, coeffs, table, 1.0,
+                                      np.full((1, 1), 1.0), np.zeros((1, 1)),
+                                      plans)
+        assert steps == []
 
 
 def test_control_divides_a_1x1_gram_matrix_as_solve_does():
@@ -124,7 +141,8 @@ def test_control_divides_a_1x1_gram_matrix_as_solve_does():
         gram = np.einsum("tpd,tqd->tpq", s, s)
         sol = np.linalg.solve(gram, v.T[..., None])[..., 0]
         want = 1.3 * np.einsum("tpd,tp->td", s, sol)
-        np.testing.assert_array_equal(_control(coeffs, xh, v, 1.3), want)
+        np.testing.assert_array_equal(
+            _control(coeffs.sigma, None, xh, v, 1.3), want)
 
 
 def test_zero_gram_matrix_raises_not_warns():
@@ -134,7 +152,80 @@ def test_zero_gram_matrix_raises_not_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="singular diffusion"):
-            _control(coeffs, np.ones((1, 3)), np.ones((1, 3)), 1.0)
+            _control(coeffs.sigma, None, np.ones((1, 3)), np.ones((1, 3)),
+                     1.0)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays down to the sign of each zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def constant_diffusion_run(case, coeffs):
+    """The output arrays of one run of case, a pair, a lifted ensemble or
+    the direct scheme, on a model of constant diffusion."""
+    n = coeffs.n
+    if case == "ensemble":
+        ms = np.eye(n) + 0.3 * (1.0 - np.eye(n))
+        comp = build_component(make_expsum_basis([(1.0, np.eye(n), ms),
+                                                  (5.0, 0.5 * ms, ms)]),
+                               2, theta_max=10.0)
+        run = simulate_lifted_ensemble(comp, coeffs, np.full((2, n), 0.5),
+                                       make_plans(3, 40, 0.01, 1.0, d=n),
+                                       record_times=[0.25, 1.0])
+        return dict(zip(("times", "X", "z_final"), run))
+    if case == "direct_2d":
+        ms = np.array([[1.0, 0.3], [0.3, 1.0]])
+        basis = make_expsum_basis([(0.5, np.eye(2), ms), (2.0, ms, np.eye(2))])
+        run = simulate_volterra_direct(
+            (basis.closed_forms["drift"], basis.closed_forms["diffusion"]),
+            coeffs, lambda t: np.array([np.cos(t), 0.5]),
+            make_plans(6, 9, 0.01, 0.5, d=2))
+        return dict(zip(("times", "x"), run))
+    comp, _, table, lam, y1, y2, _ = pair_setup(
+        "two_dim" if case == "pair_2d" else "frac")
+    if case == "pair_equal_start":
+        y2 = y1
+    run = simulate_coupled_pair(comp, coeffs, table, lam, y1, y2,
+                                make_plans(2, 40, 0.01, 1.0, d=coeffs.d))
+    return vars(run)
+
+
+SIGMA_2 = [[0.9, 0.3], [-0.4, 1.1]]
+SIGMA_3 = [[0.9, 0.3, -0.2], [-0.4, 1.1, 0.1], [0.2, -0.3, 0.8]]
+
+
+@pytest.mark.parametrize("case, sigma0", [
+    ("pair", 0.7), ("pair_2d", SIGMA_2), ("pair_equal_start", -0.7),
+    ("ensemble", SIGMA_2), ("ensemble", SIGMA_3), ("direct_2d", SIGMA_2)])
+def test_constant_diffusion_keeps_the_per_step_bits(case, sigma0):
+    # a preset's sigma (C_sLip 0) steps as one matrix: a pair forms its
+    # noise term once a step for both copies and its Gram matrix once a
+    # run.  The same sigma declared state-dependent (C_sLip None) is called
+    # per trajectory and step, and every output keeps its bits.  At d = 3
+    # the order of the noise columns' sum shows in them.
+    n = len(sigma0) if np.ndim(sigma0) else 1
+    constant = make_preset("tanh", scale=0.1, sigma0=sigma0, n=n)
+    per_step = replace(constant, C_sLip=None)
+    assert not callable(dynamics._diffusion(constant))
+    assert callable(dynamics._diffusion(per_step))
+    got = constant_diffusion_run(case, constant)
+    want = constant_diffusion_run(case, per_step)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert_same_bits(got[key], want[key])
+    if case == "pair_equal_start":
+        # v = 0: the constant path's u is -0.0, the einsum's +0.0, and
+        # only u^2 reaches the energy
+        assert np.all(got["energy"] == 0.0)
+        sigma = dynamics._diffusion(constant)
+        zero = np.zeros((1, 3))
+        u = _control(sigma, coupling._gram(sigma), zero, zero, 0.5)
+        assert np.all(np.signbit(u))
+        assert not np.any(np.signbit(_control(constant.sigma, None, zero,
+                                              zero, 0.5)))
 
 
 def test_coupled_trajectory_bits_do_not_depend_on_its_batch():
@@ -234,8 +325,8 @@ def test_verdict_ratio_is_null_at_zero_initial_distance(tmp_path):
 
 def per_step_pair(comp, coeffs, table, lam, y1, y2, plans):
     """The coupled pair stepped as before row blocks: a broadcast decay
-    column, a scan of both states for non-finite entries and one
-    mean_stderr per step."""
+    column, a scan of both states for non-finite entries, one mean_stderr
+    per step and sigma called per step."""
     h, m, n_traj = plans[0].h, plans[0].n_steps, len(plans)
     batch = _batch(plans)
     ops = step_operators(comp, h, lam)
@@ -247,10 +338,10 @@ def per_step_pair(comp, coeffs, table, lam, y1, y2, plans):
     mean[0], stderr[0] = mean_stderr(dist[:n_traj])
     energy = np.zeros(n_traj)
     for step, dw in enumerate(_stacked_increments(batch), start=1):
-        u = _control(coeffs, xh, v, lam)[:n_traj]
+        u = _control(coeffs.sigma, None, xh, v, lam)[:n_traj]
         energy += 0.5 * h * np.sum(u ** 2, axis=-1)
         y, yh, x, xh, v, dist = _coupled_step(comp, coeffs, table, ops, y,
-                                              yh, x, xh, v, dw)
+                                              yh, x, xh, v, coeffs.sigma, dw)
         assert np.isfinite(y).all() and np.isfinite(yh).all()
         mean[step], stderr[step] = mean_stderr(dist[:n_traj])
     return dict(mean_dist=mean, stderr_dist=stderr, energy=energy,

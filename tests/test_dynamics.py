@@ -189,7 +189,8 @@ def test_step_operators_match_the_explicit_update(n, controlled):
     v = rng.normal(size=(n_traj, n)) if controlled else None
     ops = step_operators(comp, h, lam if controlled else None)
     zt = z.reshape(n_traj, -1).T.copy()
-    got, x = lifted_step(ops, coeffs, zt, ops.observe(zt), dw,
+    x = ops.observe(zt)
+    got, x = lifted_step(ops, coeffs, zt, x, _noise_term(coeffs.sigma, x, dw),
                          None if v is None else v.T.copy())
     got = got.T.reshape(n_traj, size, n)
     extra = (None if v is None
@@ -430,12 +431,18 @@ def test_a_failed_fill_leaves_no_thread(monkeypatch, block):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_noise_term_is_the_einsum(d):
     # one multiply-add per noise column, in column order: einsum's bits for
-    # d <= 2; at d = 3 only the order of the sum may differ
+    # d <= 2; at d = 3 only the order of the sum may differ.  A constant
+    # diffusion, one (3, d) matrix, gives the bits of its broadcast.
     rng = np.random.default_rng(d)
     sigma = rng.standard_normal((1000, 3, d))
     dw = rng.standard_normal((1000, d))
-    got = _noise_term(sigma, dw)
+    x = np.zeros((3, 1000))
+    got = _noise_term(lambda xt: sigma, x, dw)
     want = np.einsum("tpd,td->pt", sigma, dw)
+    const = sigma[0]
+    np.testing.assert_array_equal(
+        _noise_term(const, x, dw),
+        _noise_term(lambda xt: np.broadcast_to(const, sigma.shape), x, dw))
     if d < 3:
         np.testing.assert_array_equal(got, want)
     else:
