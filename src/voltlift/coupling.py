@@ -118,9 +118,8 @@ def simulate_coupled_pair(component, coeffs, table, lam, y1, y2, batch):
     if lam <= 0.0:
         raise ValueError("coupling gain lam must be positive")
     h, m, n_traj = batch.h, batch.n_steps, len(batch)
-    ops = step_operators(component, h)
-    y, _ = _initial_states(ops, y1, batch)
-    yh, _ = _initial_states(ops, y2, batch)
+    y = _initial_states(component, y1, batch)
+    yh = _initial_states(component, y2, batch)
     mean, stderr = np.empty(m + 1), np.empty(m + 1)
 
     def part(rows):

@@ -81,6 +81,10 @@ def truncate_coefficients(coeffs, radius):
                    sigma=lambda x: coeffs.sigma(clamp(x)))
 
 
+def _is_integer(v):  # a numpy integer too, but not a bool
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseBatch:
     """Trajectories index of seed (a read-only int64 array, in any order),
@@ -100,11 +104,17 @@ class NoiseBatch:
                 and index.min() >= 0 and index.max() < DIAGNOSTIC_STREAM):
             raise ValueError(f"index must be 1-d, nonempty and in [0, 2**63), "
                              f"below the diagnostic streams, got {index!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
-        if not (self.h > 0.0 and self.T >= 0.0):
-            raise ValueError(f"h must be positive and T nonnegative, got "
-                             f"h = {self.h!r}, T = {self.T!r}")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got "
+                             f"{self.seed!r}")
+        if not (_is_integer(self.d) and self.d >= 1):
+            raise ValueError(f"d must be an integer of at least 1, got "
+                             f"{self.d!r}")
+        if not (self.h > 0.0 and self.T >= 0.0
+                and math.isfinite(self.T / self.h)):
+            raise ValueError(f"h must be positive and T nonnegative, with "
+                             f"T / h finite, got h = {self.h!r}, "
+                             f"T = {self.T!r}")
         object.__setattr__(self, "index", index.astype(np.int64))
         self.index.flags.writeable = False
         object.__setattr__(self, "n_steps", int(round(self.T / self.h)))
@@ -272,16 +282,15 @@ def _batch(batch):
     return batch[[0, 0]] if len(batch) == 1 else batch
 
 
-def _initial_states(ops, z0, batch):
+def _initial_states(component, z0, batch):
     """Trajectory-last copies of z0 for the _batch of batch (one state
-    shared, or a stack of one per trajectory) and their x."""
+    shared, or a stack of one per trajectory)."""
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim == 3 and len(z0) != len(batch):
         raise ValueError(f"z0 holds {len(z0)} initial states for "
                          f"{len(batch)} trajectories")
-    z = z0.reshape(-1, ops.forcing.shape[1]).T
-    z = np.broadcast_to(z, (z.shape[0], len(_batch(batch)))).copy()
-    return z, ops.observe(z)
+    z = z0.reshape(-1, component.size * component.n).T
+    return np.broadcast_to(z, (z.shape[0], len(_batch(batch)))).copy()
 
 
 def _by_trajectory(component, z):
@@ -498,7 +507,7 @@ def simulate_lifted(component, coeffs, z0, plan):
     m = plan.n_steps
     states = np.empty((m + 1, component.size, component.n))
     obs = np.empty((m + 1, component.n))
-    z, _ = _initial_states(step_operators(component, plan.h), z0, plan)
+    z = _initial_states(component, z0, plan)
     for step, z, x in _lifted_steps(component, coeffs, z, plan):
         states[step], obs[step] = _by_trajectory(component, z)[0], x[:, 0]
     return LiftedPath(times=np.arange(m + 1) * plan.h, states=states,
@@ -518,7 +527,7 @@ def simulate_lifted_ensemble(component, coeffs, z0, batch, record_times=None):
     if np.any((rec_steps < 0) | (rec_steps > m)):
         raise ValueError("record time outside the simulated horizon")
     order = np.argsort(rec_steps, kind="stable")  # records in step order
-    z, _ = _initial_states(step_operators(component, h), z0, batch)
+    z = _initial_states(component, z0, batch)
 
     def part(rows):
         n_part, k = len(batch[rows]), 0

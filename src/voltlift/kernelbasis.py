@@ -67,6 +67,17 @@ def _as_matrix(m, n):
     return a
 
 
+def _atom(theta, mass, Mb, Ms, n):
+    """The atom of mu at a finite rate theta >= 0, of a finite mass > 0,
+    with (n, n) matrix weights."""
+    theta, mass = float(theta), float(mass)
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ValueError(f"atom rate must be finite and >= 0, got {theta!r}")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"atom mass must be finite and > 0, got {mass!r}")
+    return Atom(theta, mass, _as_matrix(Mb, n), _as_matrix(Ms, n))
+
+
 def make_expsum_basis(terms):
     """Purely atomic basis: mu = sum of unit Dirac masses at the rates.
 
@@ -74,23 +85,15 @@ def make_expsum_basis(terms):
     """
     if not terms:
         raise ValueError("expsum basis needs at least one term")
-    rates = [float(t[0]) for t in terms]
-    if len(set(rates)) != len(rates):
-        raise ValueError("expsum rates must be pairwise distinct")
-    if any(r < 0.0 for r in rates):
-        raise ValueError("expsum rates must be nonnegative")
     n = np.atleast_2d(np.asarray(terms[0][1], dtype=float)).shape[0]
-    atoms = tuple(
-        Atom(theta=r, mass=1.0, Mb=_as_matrix(mb, n), Ms=_as_matrix(ms, n))
-        for r, mb, ms in terms
-    )
+    atoms = tuple(_atom(r, 1.0, mb, ms, n) for r, mb, ms in terms)
+    if len({a.theta for a in atoms}) != len(atoms):
+        raise ValueError("expsum rates must be pairwise distinct")
 
     def _closed(which):
-        idx = 1 if which == DRIFT else 2
-        mats = [_as_matrix(t[idx], n) for t in terms]
-
         def k(t):
-            return sum(np.exp(-r * t) * m for r, m in zip(rates, mats))
+            return sum(np.exp(-a.theta * t) * (a.Mb if which == DRIFT
+                                               else a.Ms) for a in atoms)
 
         return k
 
@@ -141,8 +144,8 @@ def make_tempered_fractional_basis(alpha_b, alpha_s, kappa_b, kappa_s,
         raise ValueError("alpha_b must lie in (0, 1)")
     if not 0.5 < alpha_s < 1.0:
         raise ValueError("alpha_s must lie in (1/2, 1)")
-    if kappa_b <= 0.0 or kappa_s <= 0.0:
-        raise ValueError("tempering rates must be positive")
+    if not (0.0 < kappa_b < math.inf and 0.0 < kappa_s < math.inf):
+        raise ValueError("tempering rates must be finite and positive")
     if gamma_b is None:
         gamma_b = (alpha_b + 1.0) / 2.0
     if gamma_s is None:
@@ -294,36 +297,37 @@ def basis_to_json(basis):
 
 
 def basis_from_json(text):
+    """The basis of a basis_to_json document, each part built by its
+    constructor: an atom by _atom, a table segment by make_table_segment
+    and a tempered fractional segment as the segment of
+    make_tempered_fractional_basis(params) with the bounds it names.  A
+    document of one tempered fractional family alone is that family's
+    basis, with its closed forms."""
     doc = json.loads(text)
     n = int(doc["n"])
-    atoms = tuple(
-        Atom(theta=float(a["theta"]), mass=float(a["mass"]),
-             Mb=_as_matrix(a["Mb"], n), Ms=_as_matrix(a["Ms"], n))
-        for a in doc.get("atoms", ()))
-    segs = []
+    atoms = tuple(_atom(a["theta"], a["mass"], a["Mb"], a["Ms"], n)
+                  for a in doc.get("atoms", ()))
+    families, segs = {}, []
     for s in doc.get("segments", ()):
         if s["family"] == "tempered_fractional":
-            params = {k: s[k] for k in ("alpha_b", "alpha_s", "kappa_b",
-                                        "kappa_s", "gamma_b", "gamma_s")}
-            params["n"] = n
-            lower = float(s["lower"])
-            segs.append(DensitySegment(lower,
-                                       None if s["upper"] is None
-                                       else float(s["upper"]),
-                                       *_tf_callables(params, lower),
-                                       family="tempered_fractional",
-                                       params=params))
+            params = tuple(s[k] for k in ("alpha_b", "alpha_s", "kappa_b",
+                                          "kappa_s", "gamma_b", "gamma_s"))
+            family = families.setdefault(
+                params, make_tempered_fractional_basis(*params, n=n))
+            match = [seg for seg in family.segments
+                     if (seg.lower, seg.upper) == (s["lower"], s["upper"])]
+            if not match:
+                raise ValueError(f"tempered_fractional family {params!r} "
+                                 f"has no segment ({s['lower']!r}, "
+                                 f"{s['upper']!r})")
+            segs += match
         elif s["family"] == "table":
             segs.append(make_table_segment(s["lower"], s["upper"],
                                            s["thetas"], s["rhos"],
                                            s["Mbs"], s["Mss"], n))
         else:
             raise ValueError(f"unknown segment family {s['family']!r}")
-    if segs and not atoms and all(s.family == "tempered_fractional"
-                                  for s in segs):
-        # rebuilt by the family's constructor, which adds the closed forms
-        p = segs[0].params
-        return make_tempered_fractional_basis(
-            p["alpha_b"], p["alpha_s"], p["kappa_b"], p["kappa_s"],
-            p["gamma_b"], p["gamma_s"], n)
+    for family in families.values():
+        if not atoms and tuple(segs) == family.segments:
+            return family
     return LiftingBasis(n=n, atoms=atoms, segments=tuple(segs))

@@ -21,7 +21,8 @@ from voltlift.cli import EXPERIMENTS, SCHEMA, main
 from voltlift.discretize import build_component
 from voltlift.dynamics import (NoisePlan, make_preset, simulate_lifted,
                                truncate_coefficients)
-from voltlift.kernelbasis import basis_to_json, make_expsum_basis
+from voltlift.kernelbasis import (basis_to_json, make_expsum_basis,
+                                  make_tempered_fractional_basis)
 
 try:
     import resource
@@ -110,6 +111,40 @@ def test_basis_file_resolves_against_config_dir(tmp_path, monkeypatch,
     cfg = write_config(cfg_dir, "sim.json", doc)
     assert main(["run", "--config", cfg]) == 2
     assert "basis.file" in capsys.readouterr().err
+
+
+ATOM = {"theta": 1.0, "mass": 1.0, "Mb": [[1.0]], "Ms": [[1.0]]}
+
+
+@pytest.mark.parametrize("atoms,edit", [
+    ([{**ATOM, "theta": -0.5}], None),
+    ([{**ATOM, "mass": 0.0}], None),
+    ([{**ATOM, "mass": -1.0}], None),
+    ([ATOM], {"alpha_b": 1.5}),
+    ([], {"lower": 5.0}),
+    ([], {"kappa_s": float("inf")}),
+], ids=["rate-0.5", "mass-0", "mass--1", "alpha_b-1.5", "lower-5",
+        "kappa_s-inf"])
+def test_a_basis_file_outside_the_kernel_class_exits_2(tmp_path, capsys,
+                                                       atoms, edit):
+    # atoms alone (edit None), or beside a tempered fractional family with
+    # one field of its first segment edited: no case is a completely
+    # monotone kernel pair of a nonnegative measure
+    doc = json.loads(basis_to_json(
+        make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0)))
+    doc["atoms"] = atoms
+    if edit is None:
+        doc["segments"] = []
+    else:
+        doc["segments"][0].update(edit)
+    (tmp_path / "case_basis.json").write_text(json.dumps(doc))
+    cfg = simulate_config(tmp_path / "o")
+    cfg["basis"] = {"file": "case_basis.json"}
+    cfg = write_config(tmp_path, "cfg.json", cfg)
+    for command in ("validate", "run"):
+        assert main([command, "--config", cfg]) == 2, command
+        err = capsys.readouterr().err
+        assert "basis.file" in err and "Traceback" not in err, err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -746,10 +781,13 @@ def _shrunk(name):
 
 def _numeric_mutations(count, seed):
     """count (config, leaf path, value) cases drawn by seed from every
-    numeric leaf of every shrunk shipped config and every value of the
-    list below."""
+    numeric leaf of the first shrunk shipped config of each experiment
+    and every value of the list below: a further config of an experiment
+    would redraw every case, not add its own."""
     values = (0, -1, -0.0, 0.5, 2.5, 1e-300, 1e300)
-    cases = [(name, path, value) for name in SHIPPED
+    first = {json.loads((CONFIGS / name).read_text())["experiment"]: name
+             for name in reversed(SHIPPED)}
+    cases = [(name, path, value) for name in SHIPPED if name in first.values()
              for path in _leaf_paths(_shrunk(name))
              if cli._is_number(_leaf(_shrunk(name), path))
              for value in values]

@@ -331,8 +331,8 @@ def per_step_pair(comp, coeffs, table, lam, y1, y2, plans):
     batch = _batch(plans)
     ops = step_operators(comp, h, lam)
     assert ops.decay.shape == (comp.size * comp.n, 1)
-    y, x = _initial_states(ops, y1, plans)
-    yh, xh = _initial_states(ops, y2, plans)
+    y, yh = _initial_states(comp, y1, plans), _initial_states(comp, y2, plans)
+    x, xh = ops.observe(y), ops.observe(yh)
     mean, stderr = np.empty(m + 1), np.empty(m + 1)
     v, dist = _gap(comp, table, y, yh)
     mean[0], stderr[0] = mean_stderr(dist[:n_traj])

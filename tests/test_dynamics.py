@@ -79,6 +79,18 @@ def test_a_batch_rejects_no_trajectories_and_a_seed_past_64_bits():
     with pytest.raises(ValueError, match="seed"):
         make_plans(2 ** 64, 2, 0.1, 1.0)
     assert len(make_plans(2 ** 64 - 1, 2, 0.1, 1.0)) == 2
+    # a float seed drew the noise of its integer part, a bool seed was
+    # taken as 0 or 1, d = 0 and d = 1.5 failed at the first draw and
+    # T = inf in n_steps
+    for field, args in [("seed", (1.7, [0, 1], 0.1, 0.3)),
+                        ("seed", (True, [0, 1], 0.1, 0.3)),
+                        ("d", (1, [0, 1], 0.1, 0.3, 0)),
+                        ("d", (1, [0, 1], 0.1, 0.3, 1.5)),
+                        ("T", (1, [0, 1], 0.1, math.inf))]:
+        with pytest.raises(ValueError, match=f"^{field} |, {field} ="):
+            NoiseBatch(*args)
+    assert len(NoiseBatch(np.uint64(2 ** 64 - 1), [0, 1], 0.1, 0.3,
+                          np.int64(2))) == 2
 
 
 def test_increment_variance_scales_with_h():

@@ -11,8 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("coupling_demo.py", ["--trajectories", "8", "--T", "0.5"]),
-    ("ergodic_decay_study.py", ["--trajectories", "64"]),
     ("kernel_convergence.py", ["--ladder", "8", "16", "--k-fine", "16"]),
     ("coupled_pair_break_even.py", ["--one-factor", "8", "--sixteen-factor",
                                     "520", "--steps", "20", "--repeats", "1"]),
