@@ -46,10 +46,20 @@ def _w1_sorted(a, b):
                          @ np.diff(qs, prepend=0.0)))
 
 
+def _projected_w1(a, b, dirs):
+    """Mean exact W1 of the rows of a and b, (N, n) and (M, n), projected
+    onto each unit direction, a row of dirs (n_dirs, n): every W1 the
+    package reports."""
+    pa, pb = dirs @ a.T, dirs @ b.T
+    pa.sort(axis=1)
+    pb.sort(axis=1)
+    return _w1_sorted(pa, pb)
+
+
 def wasserstein1_1d(samples_a, samples_b):
-    """Exact empirical W1 on the line via quantile coupling."""
-    return _w1_sorted(*(np.sort(np.asarray(s, dtype=float).ravel())
-                        for s in (samples_a, samples_b)))
+    """Exact empirical W1 on the line: _projected_w1 of one direction."""
+    return _projected_w1(*(np.asarray(s, dtype=float).reshape(-1, 1)
+                           for s in (samples_a, samples_b)), np.ones((1, 1)))
 
 
 def _directions(seed, n):
@@ -69,37 +79,22 @@ def sliced_w1(samples_a, samples_b, seed=0):
     wasserstein1_1d."""
     a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
             for s in (samples_a, samples_b))
-    dirs = _directions(seed, a.shape[-1])
-    pa, pb = dirs @ a.T, dirs @ b.T
-    pa.sort(axis=1)
-    pb.sort(axis=1)
-    return _w1_sorted(pa, pb)
+    return _projected_w1(a, b, _directions(seed, a.shape[-1]))
 
 
 def noise_floor(samples_a, samples_b, n_boot=100, seed=0):
     """Same-distribution bootstrap floor: resample two sets of rows from the
-    pooled rows and take mean + 3 std of their marginal W1, the
-    statistic the floor gates.  Each side gathers, projects and sorts its
-    resample in one pair of buffers that every replicate reuses."""
-    a, b = (np.asarray(s, float).reshape(len(s), -1)
+    pooled rows and take mean + 3 std of their sliced W1 on the directions
+    of seed, the statistic the floor gates."""
+    a, b = (np.asarray(s, dtype=float).reshape(len(s), -1)
             for s in (samples_a, samples_b))
     pool = np.concatenate([a, b])
     gen = keyed_generator(seed, DIAGNOSTIC_STREAM + 1)
-    n = pool.shape[-1]
-    dirs = _directions(seed, n)
-    # per side: the resampled rows and their projections
-    sides = [(np.empty((len(s), n)), np.empty((len(dirs), len(s))))
-             for s in (a, b)]
-    vals = np.empty(n_boot)
-    for j in range(n_boot):
-        for rows, proj in sides:
-            # mode "clip" gathers straight into rows; "raise" would gather
-            # into a temporary first
-            np.take(pool, gen.choice(len(pool), size=len(rows)), axis=0,
-                    out=rows, mode="clip")
-            np.matmul(dirs, rows.T, out=proj)
-            proj.sort(axis=1)
-        vals[j] = _w1_sorted(sides[0][1], sides[1][1])
+    dirs = _directions(seed, pool.shape[-1])
+    vals = np.array([
+        _projected_w1(pool[gen.choice(len(pool), size=len(a))],
+                      pool[gen.choice(len(pool), size=len(b))], dirs)
+        for _ in range(n_boot)])
     return float(vals.mean() + 3.0 * vals.std(ddof=1))
 
 
@@ -163,9 +158,10 @@ def ergodic_decay(component, coeffs, y1, y2, n_traj, times, seed=0, h=1e-2):
         make_plans(seed, n_traj, h, max(times), d=coeffs.d)[order % n_traj],
         record_times=times)
     ens1, ens2 = X[:, copy == 0], X[:, copy == 1]
+    dirs = _directions(seed, ens1.shape[-1])
 
     def w1_of(lanes):
-        return np.array([sliced_w1(sa[lanes], sb[lanes], seed=seed)
+        return np.array([_projected_w1(sa[lanes], sb[lanes], dirs)
                          for sa, sb in zip(ens1, ens2)])
 
     w1 = w1_of(slice(None))

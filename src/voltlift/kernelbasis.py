@@ -237,17 +237,11 @@ def eval_kernel(basis, which, t):
     return out
 
 
-def _segment_mass(seg):
-    # removability probe only; truncate infinite tails (raw segment mass may
-    # be infinite for heavy-tailed densities, which still means "not removable")
-    u, w = _offset_nodes(seg, 0.0, min(seg.span, 16.0))
-    return np.sum(w * seg.rho(u), axis=-1)[0]
-
-
 def inf_support(basis):
-    """kappa = inf supp mu: min over atoms and nonzero-mass segment lowers."""
-    lows = [a.theta for a in basis.atoms]
-    lows += [seg.lower for seg in basis.segments if _segment_mass(seg) > 0.0]
+    """kappa = inf supp mu: the least atom rate or segment lower bound.  Every
+    constructor gives a segment mass: a tempered fractional density is
+    positive on its span, a table's is >= 1e-300 on a nonempty one."""
+    lows = [a.theta for a in basis.atoms] + [s.lower for s in basis.segments]
     if not lows:
         raise ValueError("empty basis has no support")
     return min(lows)
@@ -261,7 +255,12 @@ def make_table_segment(lower, upper, thetas, rhos, Mbs, Mss, n):
     if th.ndim != 1 or th.size < 2 or np.any(np.diff(th) <= 0):
         raise ValueError("table thetas must be strictly increasing, >= 2 rows")
     lower = float(lower)
-    lr = np.log(np.maximum(np.asarray(rhos, dtype=float), 1e-300))
+    if upper is not None and not float(upper) > lower:
+        raise ValueError(f"table upper {upper!r} must exceed lower {lower!r}")
+    rhos = np.asarray(rhos, dtype=float)
+    if not np.all(rhos >= 0.0):
+        raise ValueError("table rhos must be nonnegative")
+    lr = np.log(np.maximum(rhos, 1e-300))
     mb = np.asarray(Mbs, dtype=float).reshape(th.size, n, n)
     ms = np.asarray(Mss, dtype=float).reshape(th.size, n, n)
     lth = np.log(th)
@@ -279,7 +278,7 @@ def make_table_segment(lower, upper, thetas, rhos, Mbs, Mss, n):
         lower=lower, upper=None if upper is None else float(upper),
         rho=lambda u: np.exp(interp(lr, u)), Mb=lambda u: interp(mb, u),
         Ms=lambda u: interp(ms, u), family="table",
-        params=dict(thetas=th.tolist(), rhos=np.asarray(rhos, float).tolist(),
+        params=dict(thetas=th.tolist(), rhos=rhos.tolist(),
                     Mbs=mb.tolist(), Mss=ms.tolist(), n=n),
         kinks=tuple(th - lower))
 

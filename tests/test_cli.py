@@ -114,24 +114,31 @@ def test_basis_file_resolves_against_config_dir(tmp_path, monkeypatch,
 
 
 ATOM = {"theta": 1.0, "mass": 1.0, "Mb": [[1.0]], "Ms": [[1.0]]}
+FRACTIONAL = json.loads(basis_to_json(
+    make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0)))
+TABLE = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                    / "narrow_density_basis.json").read_text())
+TABLE_ROW = TABLE["segments"][0]
 
 
-@pytest.mark.parametrize("atoms,edit", [
-    ([{**ATOM, "theta": -0.5}], None),
-    ([{**ATOM, "mass": 0.0}], None),
-    ([{**ATOM, "mass": -1.0}], None),
-    ([ATOM], {"alpha_b": 1.5}),
-    ([], {"lower": 5.0}),
-    ([], {"kappa_s": float("inf")}),
+@pytest.mark.parametrize("base,atoms,edit", [
+    (FRACTIONAL, [{**ATOM, "theta": -0.5}], None),
+    (FRACTIONAL, [{**ATOM, "mass": 0.0}], None),
+    (FRACTIONAL, [{**ATOM, "mass": -1.0}], None),
+    (FRACTIONAL, [ATOM], {"alpha_b": 1.5}),
+    (FRACTIONAL, [], {"lower": 5.0}),
+    (FRACTIONAL, [], {"kappa_s": float("inf")}),
+    (TABLE, [], {"rhos": [-r for r in TABLE_ROW["rhos"]]}),
+    (TABLE, [], {"upper": TABLE_ROW["lower"]}),
 ], ids=["rate-0.5", "mass-0", "mass--1", "alpha_b-1.5", "lower-5",
-        "kappa_s-inf"])
+        "kappa_s-inf", "rhos-negated", "upper-lower"])
 def test_a_basis_file_outside_the_kernel_class_exits_2(tmp_path, capsys,
-                                                       atoms, edit):
-    # atoms alone (edit None), or beside a tempered fractional family with
-    # one field of its first segment edited: no case is a completely
-    # monotone kernel pair of a nonnegative measure
-    doc = json.loads(basis_to_json(
-        make_tempered_fractional_basis(0.6, 0.8, 1.0, 2.0)))
+                                                       base, atoms, edit):
+    # atoms alone (edit None), or beside the segments of a tempered
+    # fractional family or of configs/narrow_density_basis.json with one
+    # field of the first edited: no case is a completely monotone kernel
+    # pair of a nonnegative measure
+    doc = copy.deepcopy(base)
     doc["atoms"] = atoms
     if edit is None:
         doc["segments"] = []

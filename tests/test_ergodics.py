@@ -441,9 +441,9 @@ def test_bootstrap_keeps_the_single_thread_bits(switching, n, n_boot):
 
 def test_bootstrap_memory_bounded():
     # noise_floor's 100 replicates for two 4096-row samples of n = 2: a
-    # pool of 8192 rows; per side the gathered rows and their projections,
-    # reused by every replicate; and the one resample index being drawn;
-    # 1% covers the directions, the replicates' values and the frames
+    # pool of 8192 rows; per side a replicate's gathered rows and their
+    # projections, freed before the next; and the one resample index being
+    # drawn; 1% covers the directions, the replicates' values and the frames
     n_traj, n = 4096, 2
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((n_traj, n)), rng.standard_normal((n_traj, n))

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,19 +82,30 @@ def test_tempered_fractional_rejects_out_of_range_exponents():
 
 
 def test_inf_support_and_compact_embedding():
+    # each constructor's least bound, exactly
     atoms_only = make_expsum_basis([(2.0, EYE, EYE), (5.0, EYE, EYE)])
-    assert inf_support(atoms_only) == pytest.approx(2.0)
-    with_density = make_tempered_fractional_basis(0.5, 0.75, 3.0, 3.0)
-    assert inf_support(with_density) == pytest.approx(3.0, abs=1e-6)
+    assert inf_support(atoms_only) == 2.0
+    for kb, ks in ((3.0, 3.0), (0.7, 1.9), (2.3, 0.4)):
+        frac = make_tempered_fractional_basis(0.5, 0.75, kb, ks)
+        assert inf_support(frac) == min(kb, ks)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    table = basis_from_json(
+        (configs / "narrow_density_basis.json").read_text())
+    assert inf_support(table) == 0.995
+    # a zero-density row keeps the segment's span in the support
+    seg = make_table_segment(0.5, 4.0, [0.5, 2.0, 4.0], [0.0, 1.0, 0.0],
+                             [EYE] * 3, [EYE] * 3, n=1)
+    both = LiftingBasis(n=1, atoms=atoms_only.atoms, segments=(seg,))
+    assert inf_support(both) == 0.5
 
 
 def test_inf_support_evaluates_only_the_density():
-    def no_matrix(u):
-        raise AssertionError("inf_support evaluated a matrix weight")
+    # nor the density: kappa is read off the bounds, with no quadrature
+    def never(u):
+        raise AssertionError("inf_support evaluated a segment function")
 
-    seg = DensitySegment(lower=3.0, upper=None,
-                         rho=lambda u: np.exp(-np.asarray(u, float)),
-                         Mb=no_matrix, Ms=no_matrix)
+    seg = DensitySegment(lower=3.0, upper=None, rho=never, Mb=never,
+                         Ms=never)
     basis = LiftingBasis(n=1, atoms=(), segments=(seg,))
     assert inf_support(basis) == 3.0
 
